@@ -23,20 +23,16 @@ validation + response models + error envelope).  With the score cache
 hot, model time is ~0 and the delta isolates per-request envelope and
 validation cost; the target is < 5% overhead vs raw.
 
-``--concurrency N`` mode (ISSUE 9) compares the two HTTP transports
-under N simultaneous keep-alive connections hammering a hot-cache
-``/v1/score``: the asyncio front end (hand-rolled parser, single-write
-responses, admission control) vs the threaded
-``BaseHTTPRequestHandler`` server, with exact per-request score parity
-asserted between them.  A second phase saturates the async transport
-behind a tiny admission budget and asserts the load-shedding contract:
+``--concurrency N`` mode saturates the HTTP server behind a tiny
+admission budget with N simultaneous keep-alive connections hammering
+a cold-cache ``/v1/score`` and asserts the load-shedding contract:
 shed requests get 429 + ``Retry-After`` and admitted-request p99 stays
 bounded instead of growing an unbounded queue.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving_throughput.py \\
           --client [--output out.json] [--max-overhead 5]
       PYTHONPATH=src python benchmarks/bench_serving_throughput.py \\
-          --concurrency 32 [--duration 2] [--min-speedup 3]
+          --concurrency 32 [--duration 2]
 """
 
 import time
@@ -119,12 +115,11 @@ def run_client_overhead() -> dict:
     """SDK (/v1 typed path) vs raw urllib (legacy alias) overhead."""
     import json as _json
     import tempfile
-    import threading
     import urllib.request
 
     from repro.api import TaxonomyClient
     from repro.serving import (
-        ArtifactBundle, ServiceConfig, TaxonomyService, make_server,
+        ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
     )
 
     pipeline, pairs = _serving_pipeline()
@@ -135,10 +130,8 @@ def run_client_overhead() -> dict:
                               ServiceConfig(max_wait_ms=0.5,
                                             cache_size=65536))
     service.start()
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
+    server = AsyncServerThread(service)
+    host, port = server.start()
     base_url = f"http://{host}:{port}"
     client = TaxonomyClient(base_url, timeout=60.0, retries=0)
 
@@ -169,8 +162,7 @@ def run_client_overhead() -> dict:
         raw_seconds = min(timed(raw_score), timed(raw_score))
         sdk_seconds = min(timed(client.score), timed(client.score))
     finally:
-        server.shutdown()
-        server.server_close()
+        server.stop()
         service.stop()
     requests = len(workload) * measure_rounds
     overhead = 100.0 * (sdk_seconds - raw_seconds) / raw_seconds
@@ -270,30 +262,20 @@ def _run_phase(host: str, port: int, body: bytes, connections: int,
 
 
 def run_concurrency(connections: int = 32, duration: float = 2.0) -> dict:
-    """Concurrent many-connection mode: async vs threaded transport.
+    """Saturate the HTTP server and check its load-shedding contract.
 
-    Phase 1 (hot cache): one fitted pipeline is served by each
-    transport in turn with a fully warmed score cache, and N keep-alive
-    clients hammer ``POST /v1/score`` with an identical candidate set
-    for ``duration`` seconds.  Model time is ~0 on every request, so
-    requests/sec isolates pure transport cost (parsing, dispatch,
-    response assembly, connection handling); per-request score parity
-    across transports is asserted exactly.
-
-    Phase 2 (saturation, async only): a cold-cache service behind a
-    deliberately tiny admission budget takes the same client storm.
-    Asserts the load-shedding contract — some requests shed, every 429
+    A cold-cache service behind a deliberately tiny admission budget
+    takes N keep-alive clients hammering ``POST /v1/score`` for
+    ``duration`` seconds.  Asserts that some requests shed, every 429
     carries ``Retry-After``, and p99 latency of *admitted* requests
     stays bounded (shedding keeps the queue short; an unbounded queue
     would push admitted p99 toward the full bench duration).
     """
     import json as _json
     import tempfile
-    import threading
 
     from repro.serving import (
-        ArtifactBundle, AsyncServerThread, ServiceConfig,
-        TaxonomyService, make_server,
+        ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
     )
 
     pipeline, pairs = _serving_pipeline()
@@ -301,67 +283,19 @@ def run_concurrency(connections: int = 32, duration: float = 2.0) -> dict:
     body = _json.dumps({"pairs": candidate_set}).encode("utf-8")
     directory = tempfile.mkdtemp(prefix="bench_concurrency_")
     ArtifactBundle.export(pipeline, directory)
-    bundle = ArtifactBundle.load(directory)
-    results: dict = {"connections": connections, "duration": duration}
-    parity: dict = {}
-
-    def hot_service() -> TaxonomyService:
-        service = TaxonomyService(
-            bundle, ServiceConfig(max_wait_ms=0.5, cache_size=65536))
-        service.start()
-        service.score(candidate_set)  # warm the cache fully
-        return service
-
-    # --- phase 1a: threaded transport, hot cache ---------------------
-    service = hot_service()
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    try:
-        parity["threaded"] = service.score(candidate_set)["probabilities"]
-        results["threaded"] = _run_phase(host, port, body, connections,
-                                         duration)
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.stop()
-
-    # --- phase 1b: async transport, hot cache ------------------------
-    service = hot_service()
-    async_server = AsyncServerThread(
-        service, port=0, max_inflight=max(64, connections),
-        max_connections=4 * connections)
-    host, port = async_server.start()
-    try:
-        parity["async"] = service.score(candidate_set)["probabilities"]
-        results["async"] = _run_phase(host, port, body, connections,
-                                      duration)
-    finally:
-        async_server.stop()
-        service.stop()
-
-    assert parity["async"] == parity["threaded"], (
-        "transports must score identically: "
-        f"{parity['async']} != {parity['threaded']}")
-    results["score_parity"] = True
-    threaded_rps = max(results["threaded"]["rps"], 1e-9)
-    results["speedup"] = results["async"]["rps"] / threaded_rps
-
-    # --- phase 2: async transport under saturation -------------------
     service = TaxonomyService(
-        bundle, ServiceConfig(max_wait_ms=0.5, cache_size=0))
+        ArtifactBundle.load(directory),
+        ServiceConfig(max_wait_ms=0.5, cache_size=0))
     service.start()
-    async_server = AsyncServerThread(
+    server = AsyncServerThread(
         service, port=0, max_inflight=2, heavy_workers=2,
         max_connections=4 * connections)
-    host, port = async_server.start()
+    host, port = server.start()
     try:
         saturation = _run_phase(host, port, body, connections, duration)
     finally:
-        async_server.stop()
+        server.stop()
         service.stop()
-    results["saturation"] = saturation
     admitted_p99_bound_ms = 1000.0 * max(2.0, duration)
     assert saturation["requests_shed"] > 0, (
         "saturation phase must shed load (0 requests got 429) — "
@@ -373,31 +307,21 @@ def run_concurrency(connections: int = 32, duration: float = 2.0) -> dict:
         f"admitted-request p99 {saturation['p99_ms']:.0f}ms exceeds "
         f"{admitted_p99_bound_ms:.0f}ms — the server is queueing "
         f"instead of shedding")
-    return results
+    return {"connections": connections, "duration": duration,
+            "saturation": saturation}
 
 
 def _print_concurrency(results: dict) -> None:
-    rows = []
-    for transport in ("threaded", "async"):
-        phase = results[transport]
-        rows.append([transport, fmt(phase["rps"], 1),
-                     str(phase["requests_ok"]),
-                     fmt(phase["p50_ms"], 2), fmt(phase["p99_ms"], 2)])
-    print_table(
-        f"Concurrent transport throughput "
-        f"({results['connections']} keep-alive connections, "
-        f"hot cache, {results['duration']}s)",
-        ["Transport", "Req/sec", "Requests", "p50 ms", "p99 ms"], rows)
-    print(f"async speedup   : {results['speedup']:.2f}x")
     saturation = results["saturation"]
-    print(f"saturation      : {saturation['requests_ok']} admitted / "
-          f"{saturation['requests_shed']} shed (429+Retry-After), "
-          f"admitted p99 {saturation['p99_ms']:.1f}ms")
+    print(f"saturation ({results['connections']} keep-alive connections, "
+          f"{results['duration']}s): {saturation['requests_ok']} "
+          f"admitted / {saturation['requests_shed']} shed "
+          f"(429+Retry-After), admitted p99 {saturation['p99_ms']:.1f}ms")
 
 
 def main(argv=None) -> int:
     """CLI entry: ``--client`` measures SDK/envelope overhead,
-    ``--concurrency N`` runs the many-connection transport comparison."""
+    ``--concurrency N`` runs the many-connection load-shedding check."""
     import argparse
     import json as _json
     import sys
@@ -409,14 +333,10 @@ def main(argv=None) -> int:
                              "alias")
     parser.add_argument("--concurrency", type=int, default=None,
                         metavar="N",
-                        help="run the concurrent transport comparison "
-                             "with N keep-alive connections (async vs "
-                             "threaded + saturation/load-shed phase)")
+                        help="run the saturation/load-shed check with "
+                             "N keep-alive connections")
     parser.add_argument("--duration", type=float, default=2.0,
-                        help="seconds per concurrency phase")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail (exit 1) when async rps is below "
-                             "this multiple of threaded rps")
+                        help="seconds of saturation")
     parser.add_argument("--output", default=None,
                         help="write the result JSON here")
     parser.add_argument("--max-overhead", type=float, default=None,
@@ -432,11 +352,6 @@ def main(argv=None) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 _json.dump(results, handle, indent=1)
             print(f"wrote {args.output}")
-        if args.min_speedup is not None and \
-                results["speedup"] < args.min_speedup:
-            print(f"FAIL: async speedup {results['speedup']:.2f}x is "
-                  f"below {args.min_speedup}x", file=sys.stderr)
-            return 1
         return 0
 
     if args.client:

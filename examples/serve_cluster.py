@@ -22,7 +22,6 @@ Run:  PYTHONPATH=src python examples/serve_cluster.py   (~2 minutes)
 """
 
 import tempfile
-import threading
 
 from repro.api import TaxonomyClient
 from repro.core import (
@@ -31,8 +30,8 @@ from repro.core import (
 from repro.gnn import ContrastiveConfig, StructuralConfig
 from repro.plm import PretrainConfig
 from repro.serving import (
-    ArtifactBundle, IngestJournal, ServiceConfig, ShardedScorerPool,
-    TaxonomyService, make_server,
+    ArtifactBundle, AsyncServerThread, IngestJournal, ServiceConfig,
+    ShardedScorerPool, TaxonomyService,
 )
 from repro.synthetic import (
     ClickLogConfig, UgcConfig, WorldConfig, build_world,
@@ -83,10 +82,8 @@ def main() -> None:
     service = TaxonomyService(ArtifactBundle.load(bundle_v1),
                               ServiceConfig(), pool=pool, journal=journal)
     service.start()
-    server = make_server(service, port=0)  # ephemeral port
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
+    server = AsyncServerThread(service)  # ephemeral port
+    host, port = server.start()
     client = TaxonomyClient(f"http://{host}:{port}", timeout=60.0)
 
     scores_v1 = client.score(probe_pairs)
@@ -137,8 +134,7 @@ def main() -> None:
 
     # -- 4. crash + replay ------------------------------------------------
     print("== simulating crash (no clean shutdown) and replaying ==")
-    server.shutdown()
-    server.server_close()
+    server.stop()
     pool.stop()  # the 'machine' goes down; journal is NOT closed cleanly
 
     restarted = TaxonomyService(ArtifactBundle.load(bundle_v1),

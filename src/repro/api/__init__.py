@@ -12,8 +12,9 @@ table that both dispatches requests and generates
 :class:`TaxonomyClient` SDK that the CLI, examples, benchmarks and
 tests all use instead of hand-rolled urllib calls.
 
-The HTTP transport lives in :mod:`repro.serving.http`; this package is
-transport-agnostic (schemas and errors are equally usable in-process).
+The HTTP transport lives in :mod:`repro.serving.async_http`; this
+package is transport-agnostic (schemas and errors are equally usable
+in-process).
 """
 
 from .errors import (

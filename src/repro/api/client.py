@@ -26,13 +26,10 @@ only for ``GET`` requests: a lost response to a non-idempotent
 ``POST`` (ingest, expand) may have been applied server-side, and
 re-sending it would double-apply the data.
 
-Against the asyncio transport the SDK also upgrades itself from the
-``capabilities`` object in ``/v1/healthz``: :meth:`wait_for_job` holds
-a server-side long-poll (``GET /v1/jobs/{id}?wait=...``) instead of
-busy-polling, and :meth:`score_stream` / :meth:`expand_stream` /
-:meth:`job_events` consume NDJSON and SSE streams.  Every upgrade
-degrades transparently to the buffered/polling behaviour against the
-threaded transport.
+:meth:`wait_for_job` holds a server-side long-poll (``GET
+/v1/jobs/{id}?wait=...``) instead of busy-polling, and
+:meth:`score_stream` / :meth:`expand_stream` / :meth:`job_events`
+consume NDJSON and SSE streams.
 """
 
 from __future__ import annotations
@@ -111,7 +108,6 @@ class TaxonomyClient:
         self.backoff = backoff
         self.max_backoff = max_backoff
         self._rng = rng if rng is not None else random.Random()
-        self._capabilities: dict | None = None
 
     # ------------------------------------------------------------------
     # transport
@@ -220,32 +216,10 @@ class TaxonomyClient:
         return self._request("POST", "/v1/score",
                              {"pairs": [list(pair) for pair in pairs]})
 
-    def capabilities(self) -> dict:
-        """Transport capabilities advertised in ``/v1/healthz``.
-
-        ``{}`` against servers that advertise nothing (the threaded
-        transport) or when the probe fails — absence of a capability
-        just means the polling/buffered fallback is used.  Cached for
-        the client's lifetime after the first successful probe.
-        """
-        if self._capabilities is None:
-            try:
-                health = self.health()
-            except TaxonomyApiError:
-                return {}  # transient failure: stay unprobed, retry later
-            found = (health or {}).get("capabilities")
-            self._capabilities = dict(found) if isinstance(found, dict) \
-                else {}
-        return self._capabilities
-
     def _stream_lines(self, path: str, payload: dict, accept: str):
         """POST and yield decoded NDJSON lines (internal helper).
 
-        Falls back to yielding the single buffered JSON body when the
-        server answers ``application/json`` — the threaded transport
-        ignores the ``Accept`` upgrade, so callers see one whole-batch
-        chunk instead of micro-batches, same content either way.  A
-        terminal ``{"error": ...}`` line (mid-stream failure) raises
+        A terminal ``{"error": ...}`` line (mid-stream failure) raises
         :class:`TaxonomyApiError` after the preceding chunks were
         yielded.
         """
@@ -258,11 +232,6 @@ class TaxonomyClient:
         try:
             with urllib.request.urlopen(
                     request, timeout=self.timeout) as response:
-                if response.headers.get_content_type() == \
-                        "application/json":
-                    body = response.read()
-                    yield json.loads(body) if body else {}
-                    return
                 for raw_line in response:
                     line = raw_line.strip()
                     if not line:
@@ -289,9 +258,7 @@ class TaxonomyClient:
 
         Each yielded dict is a ``/v1/score``-shaped micro-batch
         (``pairs`` + ``probabilities``) in request order; concatenating
-        them reproduces :meth:`score` of the full batch.  Against
-        servers without NDJSON support the whole response arrives as
-        one chunk.
+        them reproduces :meth:`score` of the full batch.
         """
         yield from self._stream_lines(
             "/v1/score", {"pairs": [list(pair) for pair in pairs]},
@@ -423,10 +390,7 @@ class TaxonomyClient:
 
         Each yielded dict is one job snapshot (the ``data:`` payload of
         a ``status`` event); the stream ends after the terminal
-        snapshot.  Against servers without SSE support (the threaded
-        transport ignores the ``Accept`` upgrade) the single buffered
-        snapshot is yielded and the generator ends — callers that need
-        a terminal state should use :meth:`wait_for_job`.
+        snapshot.
         """
         url = f"{self.base_url}/v1/jobs/{job_id}"
         request = urllib.request.Request(
@@ -434,11 +398,6 @@ class TaxonomyClient:
         try:
             with urllib.request.urlopen(
                     request, timeout=self.timeout) as response:
-                if response.headers.get_content_type() != \
-                        "text/event-stream":
-                    body = response.read()
-                    yield json.loads(body) if body else {}
-                    return
                 data_lines: list = []
                 for raw_line in response:
                     line = raw_line.decode("utf-8").rstrip("\r\n")
@@ -455,36 +414,28 @@ class TaxonomyClient:
                 "transport_error",
                 f"stream from {url} failed: {error}") from None
 
-    def wait_for_job(self, job_id: str, timeout: float = 60.0,
-                     poll_interval: float = 0.05) -> dict:
+    def wait_for_job(self, job_id: str, timeout: float = 60.0) -> dict:
         """Wait until the job finishes; return its terminal snapshot.
 
-        Against a server advertising the ``job_wait`` capability (the
-        asyncio transport) each round trip is a server-side long-poll
-        — ``GET /v1/jobs/{id}?wait=<seconds>`` parks on the job
-        manager's completion signal and answers the moment the job
-        turns terminal — so the client issues a handful of held
-        requests instead of hammering ``poll_interval``-spaced polls.
-        Servers without the capability (or where the probe fails) get
-        the classic polling loop, transparently.
+        Each round trip is a server-side long-poll — ``GET
+        /v1/jobs/{id}?wait=<seconds>`` parks on the job manager's
+        completion signal and answers the moment the job turns
+        terminal — so the client issues a handful of held requests
+        instead of busy-polling.
 
         Raises :class:`TaxonomyApiError` with the job's stored error
         code if the job failed, or ``TimeoutError`` if it does not
         finish within ``timeout`` seconds.
         """
         deadline = time.monotonic() + timeout
-        long_poll = bool(self.capabilities().get("job_wait"))
         while True:
-            remaining = deadline - time.monotonic()
-            if long_poll and remaining > 0:
-                # hold well under the socket timeout so a parked wait
-                # cannot be mistaken for a dead server
-                hold = min(remaining, 10.0,
-                           max(0.1, self.timeout * 0.5))
-                snapshot = self._request(
-                    "GET", f"/v1/jobs/{job_id}?wait={hold:.3f}")
-            else:
-                snapshot = self.job(job_id)
+            # hold well under the socket timeout so a parked wait
+            # cannot be mistaken for a dead server; past the deadline
+            # ``wait=0`` is one plain read
+            hold = min(max(0.0, deadline - time.monotonic()), 10.0,
+                       max(0.1, self.timeout * 0.5))
+            snapshot = self._request(
+                "GET", f"/v1/jobs/{job_id}?wait={hold:.3f}")
             if snapshot["status"] == "succeeded":
                 return snapshot
             if snapshot["status"] == "failed":
@@ -497,5 +448,3 @@ class TaxonomyClient:
                 raise TimeoutError(
                     f"job {job_id} still {snapshot['status']!r} after "
                     f"{timeout}s")
-            if not long_poll:
-                time.sleep(poll_interval)

@@ -1,11 +1,11 @@
 """The declarative ``/v1`` route table and its OpenAPI generator.
 
 :data:`ROUTES` is the single source of truth for the public API: the
-HTTP transport (:mod:`repro.serving.http`) walks it to dispatch
+route index in :mod:`repro.serving.routes` walks it to dispatch
 requests, and :func:`build_openapi` walks the *same* tuple to emit
 ``GET /v1/openapi.json`` — so the served surface and its description
-cannot drift.  Each :class:`RouteSpec` names a handler (bound by the
-transport), the typed request/response models from
+cannot drift.  Each :class:`RouteSpec` names a handler (bound in
+:mod:`repro.serving.routes`), the typed request/response models from
 :mod:`repro.api.schemas`, the stable error codes the route can return,
 and the legacy unversioned alias it still answers on (with a
 ``Deprecation`` header).

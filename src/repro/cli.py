@@ -137,7 +137,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serving import (
         ArtifactBundle, IngestJournal, ServiceConfig, ShardedScorerPool,
-        SnapshotStore, TaxonomyService, serve, serve_async,
+        SnapshotStore, TaxonomyService, serve_async,
     )
     try:
         bundle = ArtifactBundle.load(args.artifacts)
@@ -201,18 +201,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"{summary['skipped']} skipped -> "
                   f"{summary['taxonomy_edges']} taxonomy edges")
     try:
-        if args.transport == "async":
-            serve_async(service, host=args.host, port=args.port,
-                        quiet=args.quiet,
-                        drain_timeout=args.drain_timeout,
-                        max_inflight=args.max_inflight,
-                        max_connections=args.max_connections,
-                        read_timeout=args.read_timeout,
-                        idle_timeout=args.idle_timeout,
-                        stream_chunk_size=args.stream_chunk)
-        else:
-            serve(service, host=args.host, port=args.port,
-                  quiet=args.quiet, drain_timeout=args.drain_timeout)
+        serve_async(service, host=args.host, port=args.port,
+                    quiet=args.quiet, drain_timeout=args.drain_timeout,
+                    max_inflight=args.max_inflight,
+                    max_connections=args.max_connections,
+                    read_timeout=args.read_timeout,
+                    idle_timeout=args.idle_timeout,
+                    stream_chunk_size=args.stream_chunk)
     finally:
         if journal is not None:
             journal.close()
@@ -441,36 +436,28 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--snapshot-keep", type=int, default=2,
                               help="snapshots retained on disk (>= 1; "
                                    "older ones are pruned)")
-    serve_parser.add_argument("--transport", choices=("async", "threaded"),
-                              default="async",
-                              help="HTTP front end: the asyncio event "
-                                   "loop (keep-alive timeouts, admission "
-                                   "control, NDJSON/SSE streaming) or the "
-                                   "classic thread-per-connection server; "
-                                   "both serve the identical /v1 contract")
     serve_parser.add_argument("--drain-timeout", type=float, default=10.0,
                               help="seconds SIGTERM waits for in-flight "
-                                   "requests before closing (both "
-                                   "transports)")
+                                   "requests before closing")
     serve_parser.add_argument("--max-inflight", type=int, default=8,
-                              help="async transport: concurrent heavy "
-                                   "requests (score/expand/ingest/admin) "
-                                   "admitted before shedding with 429 + "
+                              help="concurrent heavy requests "
+                                   "(score/expand/ingest/admin) admitted "
+                                   "before shedding with 429 + "
                                    "Retry-After")
     serve_parser.add_argument("--max-connections", type=int, default=256,
-                              help="async transport: open-connection cap; "
-                                   "connections past it are refused 503")
+                              help="open-connection cap; connections "
+                                   "past it are refused 503")
     serve_parser.add_argument("--read-timeout", type=float, default=5.0,
-                              help="async transport: seconds a started "
-                                   "request may take to arrive before 408 "
-                                   "(slow-loris guard)")
+                              help="seconds a started request may take "
+                                   "to arrive before 408 (slow-loris "
+                                   "guard)")
     serve_parser.add_argument("--idle-timeout", type=float, default=30.0,
-                              help="async transport: seconds an idle "
-                                   "keep-alive connection is held open")
+                              help="seconds an idle keep-alive "
+                                   "connection is held open")
     serve_parser.add_argument("--stream-chunk", type=int, default=64,
-                              help="async transport: pairs per NDJSON "
-                                   "line on streamed /v1/score "
-                                   "(/v1/expand uses 1/8th per chunk)")
+                              help="pairs per NDJSON line on streamed "
+                                   "/v1/score (/v1/expand uses 1/8th per "
+                                   "chunk)")
     serve_parser.add_argument("--quiet", action="store_true",
                               help="suppress per-request access logs")
     serve_parser.set_defaults(func=cmd_serve)

@@ -12,15 +12,13 @@ makes ingestion durable and replayable across restarts, and
 :class:`SnapshotStore` caps the replay tail — recovery loads the latest
 valid snapshot and replays only the journal records after it, with
 covered segments compacted away;
-:class:`TaxonomyService` plus :func:`make_server` expose it all over a
-stdlib JSON API (``repro serve`` on the command line), including
-zero-downtime artifact hot-reload via ``POST /admin/reload`` or SIGHUP.
-Two transports serve the same contract from the shared dispatch core in
-:mod:`repro.serving.routes`: the classic threaded server
-(:func:`make_server`/:func:`serve`) and the asyncio front end
-(:class:`AsyncTaxonomyServer`/:func:`serve_async`) with keep-alive
-timeouts, admission-control load shedding, NDJSON/SSE streaming and
-graceful drain — pick one with ``repro serve --transport``.
+:class:`TaxonomyService` plus :class:`AsyncTaxonomyServer` expose it all
+over a stdlib JSON API (``repro serve`` on the command line, via
+:func:`serve_async`), including zero-downtime artifact hot-reload via
+``POST /admin/reload`` or SIGHUP.  The asyncio front end dispatches
+through the shared core in :mod:`repro.serving.routes` and adds
+keep-alive timeouts, admission-control load shedding, NDJSON/SSE
+streaming and graceful drain.
 
 See ``docs/architecture.md`` for the subsystem map, ``docs/http_api.md``
 for the endpoint reference, and ``docs/operations.md`` for the runbook.
@@ -44,10 +42,6 @@ from .snapshot import (
 )
 from .cluster import PoolStats, ShardedScorerPool, shared_memory_default
 from .service import ServiceConfig, TaxonomyService
-from .http import (
-    TaxonomyHTTPServer, install_sighup_reload, install_sigterm_drain,
-    make_server, serve,
-)
 from .async_http import (
     AsyncServerThread, AsyncTaxonomyServer, CAPABILITIES, serve_async,
 )
@@ -65,8 +59,6 @@ __all__ = [
     "SharedArtifactStore", "SharedArrayView", "SharedBundleView",
     "attach_manifest",
     "ServiceConfig", "TaxonomyService",
-    "TaxonomyHTTPServer", "install_sighup_reload", "install_sigterm_drain",
-    "make_server", "serve",
     "AsyncServerThread", "AsyncTaxonomyServer", "CAPABILITIES",
     "serve_async",
 ]

@@ -1,11 +1,9 @@
-"""Asyncio HTTP transport: concurrent serving on one event loop.
+"""Asyncio HTTP transport: ``repro serve``'s front end on one event loop.
 
-The threaded transport (:mod:`repro.serving.http`) spawns a thread per
-connection and buffers every response in full — fine for a handful of
-clients, a bottleneck at fan-in.  This module serves the *same*
-contract (the shared dispatch core in :mod:`repro.serving.routes`, so
-the same route table, schemas, error envelope and
-``/v1/openapi.json``) on a single ``asyncio.start_server`` event loop:
+This module serves the ``/v1`` contract — the dispatch core in
+:mod:`repro.serving.routes`, so the route table, schemas, error
+envelope and ``/v1/openapi.json`` — on a single
+``asyncio.start_server`` event loop:
 
 * **keep-alive with real timeouts** — an idle connection is dropped
   silently after ``idle_timeout``; a connection that has *started* a
@@ -26,15 +24,18 @@ the same route table, schemas, error envelope and
   micro-batch (flushed as produced, not buffered whole); ``GET
   /v1/jobs/{id}`` supports ``?wait=<seconds>`` long-poll and ``Accept:
   text/event-stream`` SSE so clients stop busy-polling job status,
+* **strict framing** — a request whose ``Content-Length`` is not
+  plain ASCII digits, repeats with differing values, or arrives with
+  any ``Transfer-Encoding`` is answered ``400`` and the connection
+  closed (RFC 9112 §6.3), so a proxy in front can never see a different
+  request boundary than this server,
 * **graceful drain** — :meth:`AsyncTaxonomyServer.drain` stops
   accepting, closes idle keep-alive connections, lets in-flight
   requests finish up to a deadline, then closes; ``serve_async`` wires
   it to SIGTERM.
 
 The transport advertises ``{"job_wait", "sse", "ndjson"}`` in the
-``capabilities`` object of ``/v1/healthz`` so the SDK can upgrade its
-job-wait strategy; the threaded transport advertises nothing and
-clients fall back to polling transparently.
+``capabilities`` object of ``/v1/healthz``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ from .service import TaxonomyService
 __all__ = ["AsyncServerThread", "AsyncTaxonomyServer", "CAPABILITIES",
            "serve_async"]
 
-#: transport capabilities advertised in the ``/v1/healthz`` payload;
-#: the SDK keys its job-wait upgrade off ``job_wait``/``sse``.
+#: transport capabilities advertised in the ``/v1/healthz`` payload
 CAPABILITIES = {
     "transport": "async",
     "job_wait": True,
@@ -76,6 +76,28 @@ _JOB_POLL_FALLBACK = 0.5
 
 #: upper bound on one long-poll hold; clients re-issue to wait longer
 _MAX_JOB_WAIT = 30.0
+
+
+def _content_length(headers: dict, lengths: set) -> int:
+    """The request body's length, or ``400 invalid_request`` if ambiguous.
+
+    ``lengths`` holds the distinct values of every ``Content-Length``
+    field.  Only plain ASCII digits count: ``int()`` alone would accept
+    ``+29`` and ``2_9``, which a proxy in front may frame differently.
+    """
+    if "transfer-encoding" in headers:
+        raise api_errors.invalid_request(
+            "Transfer-Encoding is not supported; send Content-Length")
+    if len(lengths) > 1:
+        raise api_errors.invalid_request(
+            "conflicting Content-Length headers")
+    value = lengths.pop() if lengths else "0"
+    try:
+        if value.isascii() and value.isdigit():
+            return int(value)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise api_errors.invalid_request("invalid Content-Length header")
 
 
 class _ConnState:
@@ -298,9 +320,9 @@ class AsyncTaxonomyServer:
         Applies ``idle_timeout`` while waiting for the first byte
         (silent close — an idle keep-alive connection is normal) and
         ``read_timeout`` once a request has started (408 — the client
-        is trickling; this is the slow-loris guard).  Oversized bodies
-        are rejected 413 from the ``Content-Length`` header alone,
-        before any body byte is read.
+        is trickling; this is the slow-loris guard).  Ambiguous framing
+        is rejected 400 and oversized bodies 413, both from the headers
+        alone, before any body byte is read.
         """
         try:
             first = await asyncio.wait_for(reader.read(1),
@@ -331,28 +353,25 @@ class AsyncTaxonomyServer:
                 api_errors.invalid_request("malformed request line"))
             return None
         headers = {}
+        lengths = set()
         for line in header_text.split("\r\n"):
             if ":" in line:
                 name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                headers[name] = value
+                if name == "content-length":
+                    lengths.add(value)
         path, _, query = path.partition("?")
         try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            await self._write_simple_error(
-                writer, api_errors.invalid_request(
-                    "invalid Content-Length header"))
+            length = _content_length(headers, lengths)
+        except ApiError as error:
+            await self._write_simple_error(writer, error)
             return None
         if length > MAX_BODY_BYTES:
             # header-first rejection: the body is never read
             await self._write_simple_error(
                 writer,
                 api_errors.payload_too_large(length, MAX_BODY_BYTES))
-            return None
-        if length < 0:
-            await self._write_simple_error(
-                writer, api_errors.invalid_request(
-                    f"invalid Content-Length: {length}"))
             return None
         body = b""
         if length:
@@ -397,8 +416,8 @@ class AsyncTaxonomyServer:
             headers.append(("Retry-After",
                             str(max(1, round(retry_after)))))
         if status >= 400 or close or self.draining:
-            # mirror the threaded transport: error paths may leave the
-            # request body unread, so never keep-alive past an error
+            # error paths may leave the request body unread, so never
+            # keep-alive past an error
             headers.append(("Connection", "close"))
         else:
             headers.append(("Connection", "keep-alive"))
@@ -748,10 +767,10 @@ class AsyncTaxonomyServer:
 class AsyncServerThread:
     """Run an :class:`AsyncTaxonomyServer` on a background event loop.
 
-    Synchronous harness for tests, benchmarks and the CLI's threaded
-    callers: owns a dedicated loop thread, starts the server on it, and
-    exposes blocking ``start``/``stop``.  ``stop`` drains gracefully
-    (bounded by ``drain_timeout``) before closing.
+    Synchronous harness for tests, benchmarks and examples: owns a
+    dedicated loop thread, starts the server on it, and exposes
+    blocking ``start``/``stop``.  ``stop`` drains gracefully (bounded
+    by ``drain_timeout``) before closing.
     """
 
     def __init__(self, service: TaxonomyService, host: str = "127.0.0.1",
@@ -832,9 +851,8 @@ async def _serve_async(service: TaxonomyService, host: str, port: int,
     # keep the "repro serving on http://..." prefix stable — log
     # scrapers and the subprocess tests parse it to find the port
     print(f"repro serving on http://{bound_host}:{bound_port} "
-          f"(async transport; same /v1 contract as threaded, NDJSON "
-          f"streaming on /v1/score + /v1/expand, SSE/long-poll on "
-          f"/v1/jobs/{{id}}, admission budget "
+          f"(/v1 API; NDJSON streaming on /v1/score + /v1/expand, "
+          f"SSE/long-poll on /v1/jobs/{{id}}, admission budget "
           f"{server.max_inflight} in-flight)")
     try:
         await stop_event.wait()
@@ -853,7 +871,6 @@ def serve_async(service: TaxonomyService, host: str = "127.0.0.1",
                 drain_timeout: float = 10.0, **server_kwargs) -> None:
     """Start the service workers and serve on asyncio until signalled.
 
-    The asyncio counterpart of :func:`repro.serving.http.serve`:
     SIGTERM/Ctrl-C trigger a graceful drain (stop accepting, finish
     in-flight up to ``drain_timeout``, close), SIGHUP hot-reloads the
     bundle.  Extra keyword arguments reach

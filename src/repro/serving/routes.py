@@ -1,11 +1,10 @@
-"""Transport-independent dispatch core shared by every HTTP front end.
+"""Transport-independent dispatch core behind the HTTP front end.
 
-Both servers — the classic thread-per-connection transport in
-:mod:`repro.serving.http` and the asyncio transport in
-:mod:`repro.serving.async_http` — dispatch the *same* declarative route
-table (:data:`repro.api.ROUTES`) onto the same
-:class:`~repro.serving.TaxonomyService` facade.  This module holds
-everything that must not fork between them:
+The asyncio transport in :mod:`repro.serving.async_http` dispatches the
+declarative route table (:data:`repro.api.ROUTES`) onto the
+:class:`~repro.serving.TaxonomyService` facade through this module,
+which holds everything that is about the contract rather than about
+sockets:
 
 * the ``/v1`` handler functions (one per ``RouteSpec.handler`` name),
   each taking ``(service, body, params)`` and returning
@@ -16,9 +15,10 @@ everything that must not fork between them:
 * the path-matching route index built from the route table, and
 * the request-body byte cap (:data:`MAX_BODY_BYTES`).
 
-Because dispatch is shared, the contract — schemas, the canonical error
-envelope, journaling side effects, ``/v1/openapi.json`` — is byte-for-
-byte identical whichever transport a deployment picks.
+Keeping dispatch out of the transport means the contract — schemas,
+the canonical error envelope, journaling side effects,
+``/v1/openapi.json`` — is plain functions over the service, callable
+(and wrappable) without a socket.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ V1_HANDLERS = {
     "job_snapshot": _handle_job_snapshot,
     "job_list": _handle_job_list,
     "job_get": _handle_job_get,
-    # "metrics" is text/plain and handled inline by each transport
+    # "metrics" is text/plain and handled inline by the transport
 }
 
 #: ``RouteSpec.handler`` name -> legacy alias handler callable
@@ -301,7 +301,7 @@ def build_route_index() -> dict:
     return index
 
 
-#: the one shared route index both transports dispatch on
+#: the route index the transport dispatches on
 ROUTE_INDEX = build_route_index()
 
 

@@ -26,8 +26,9 @@
   replays only the post-snapshot tail.
 
 Every public method takes and returns JSON-friendly values, so the HTTP
-layer (:mod:`repro.serving.http`) is a thin router over this class and the
-same operations are directly scriptable in-process.
+layer (:mod:`repro.serving.routes` behind
+:mod:`repro.serving.async_http`) is a thin router over this class and
+the same operations are directly scriptable in-process.
 """
 
 from __future__ import annotations
@@ -276,8 +277,8 @@ class TaxonomyService:
         the first chunk is yielded).  Each yielded dict covers the next
         ``chunk_size`` pairs in request order and is scored through the
         same batching scorer — concatenating the chunks reproduces the
-        unchunked response element-for-element.  Streaming transports
-        flush one NDJSON line per chunk so large batches produce
+        unchunked response element-for-element.  The HTTP transport
+        flushes one NDJSON line per chunk so large batches produce
         incremental output instead of one buffered body.
         """
         cleaned = list(pairs.pairs if isinstance(pairs, ScoreRequest)

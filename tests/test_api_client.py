@@ -14,8 +14,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.api import TaxonomyApiError, TaxonomyClient
-from repro.serving import ArtifactBundle, ServiceConfig, TaxonomyService, \
-    make_server
+from repro.serving import (
+    ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,15 +33,11 @@ def served(bundle_dir):
     service = TaxonomyService(ArtifactBundle.load(bundle_dir),
                               ServiceConfig(max_wait_ms=1.0))
     service.start()
-    httpd = make_server(service, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[:2]
+    harness = AsyncServerThread(service)
+    host, port = harness.start()
     yield f"http://{host}:{port}", service
-    httpd.shutdown()
-    httpd.server_close()
+    harness.stop()
     service.stop()
-    thread.join(timeout=5)
 
 
 @pytest.fixture()

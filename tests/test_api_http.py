@@ -10,7 +10,6 @@ OpenAPI document.
 
 import http.client
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -18,9 +17,10 @@ import urllib.request
 import pytest
 
 from repro.api import ERROR_CODES, ROUTES
-from repro.serving import ArtifactBundle, ServiceConfig, TaxonomyService, \
-    make_server
-from repro.serving.http import MAX_BODY_BYTES
+from repro.serving import (
+    ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
+)
+from repro.serving.routes import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -37,19 +37,16 @@ def server(bundle_dir):
     service = TaxonomyService(ArtifactBundle.load(bundle_dir),
                               ServiceConfig(max_wait_ms=1.0))
     service.start()
-    httpd = make_server(service, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    httpd.server_close()
+    harness = AsyncServerThread(service)
+    harness.start()
+    yield harness
+    harness.stop()
     service.stop()
-    thread.join(timeout=5)
 
 
 def request(server, method, path, payload=None):
     """One request; returns (status, headers, parsed body)."""
-    host, port = server.server_address[:2]
+    host, port = server.address
     data = None if payload is None else json.dumps(payload).encode()
     req = urllib.request.Request(
         f"http://{host}:{port}{path}", data=data, method=method,
@@ -225,7 +222,7 @@ class TestErrorEnvelope:
         assert body["error"]["detail"] == {"field": "pairs"}
 
     def test_malformed_json_is_invalid_request(self, server):
-        host, port = server.server_address[:2]
+        host, port = server.address
         req = urllib.request.Request(
             f"http://{host}:{port}/v1/score", data=b"{not json",
             headers={"Content-Type": "application/json"})
@@ -238,7 +235,7 @@ class TestErrorEnvelope:
     def test_payload_too_large_is_413(self, server):
         # Announce an oversized body; the server must reject on the
         # header alone with the canonical envelope, before reading.
-        host, port = server.server_address[:2]
+        host, port = server.address
         connection = http.client.HTTPConnection(host, port, timeout=30)
         try:
             connection.putrequest("POST", "/v1/score")
@@ -258,8 +255,8 @@ class TestErrorEnvelope:
             connection.close()
 
     def test_negative_content_length_is_rejected(self, server):
-        # rfile.read(-1) would block forever; must 400 without reading.
-        host, port = server.server_address[:2]
+        # a negative length must be refused from the header alone
+        host, port = server.address
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             connection.putrequest("POST", "/v1/score")
@@ -285,10 +282,8 @@ class TestBackpressureVsNotReady:
                                   ServiceConfig(max_wait_ms=1.0,
                                                 max_ingest_queue=2))
         service.start()
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
+        harness = AsyncServerThread(service)
+        harness.start()
         try:
             # Stall the ingest worker: it blocks on the taxonomy lock
             # holding one batch, so the bounded queue fills behind it.
@@ -296,7 +291,7 @@ class TestBackpressureVsNotReady:
                 saw_backpressure = None
                 for _ in range(10):
                     status, headers, body = request(
-                        httpd, "POST", "/v1/ingest",
+                        harness, "POST", "/v1/ingest",
                         {"records": [["apple", "an apple"]]})
                     if status != 202:
                         saw_backpressure = (status, headers, body)
@@ -309,26 +304,22 @@ class TestBackpressureVsNotReady:
                 assert int(headers["Retry-After"]) >= 1
                 assert "pending_batches" in body["error"]["detail"]
         finally:
-            httpd.shutdown()
-            httpd.server_close()
+            harness.stop()
             service.stop()
-            thread.join(timeout=5)
 
     def test_legacy_ingest_keeps_503_on_queue_full(self, bundle_dir):
         service = TaxonomyService(ArtifactBundle.load(bundle_dir),
                                   ServiceConfig(max_wait_ms=1.0,
                                                 max_ingest_queue=2))
         service.start()
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
+        harness = AsyncServerThread(service)
+        harness.start()
         try:
             with service._taxonomy_lock:
                 saw_rejection = None
                 for _ in range(10):
                     status, _h, body = request(
-                        httpd, "POST", "/ingest",
+                        harness, "POST", "/ingest",
                         {"records": [["apple", "an apple"]]})
                     if status != 202:
                         saw_rejection = (status, body)
@@ -338,15 +329,13 @@ class TestBackpressureVsNotReady:
                 assert status == 503  # historical alias semantics
                 assert body["accepted"] is False
         finally:
-            httpd.shutdown()
-            httpd.server_close()
+            harness.stop()
             service.stop()
-            thread.join(timeout=5)
 
     def test_reload_in_flight_is_503_not_ready(self, server):
         # /v1/admin/reload must not queue behind a running swap — it
         # answers 503 not_ready so callers can tell "busy" from "broken".
-        service = server.service
+        service = server.server.service
         with service._reload_lock:
             status, headers, body = request(
                 server, "POST", "/v1/admin/reload", {"artifacts": None})
@@ -356,21 +345,17 @@ class TestBackpressureVsNotReady:
     def test_unstarted_service_is_503_not_ready(self, bundle_dir):
         service = TaxonomyService(ArtifactBundle.load(bundle_dir),
                                   ServiceConfig(max_wait_ms=1.0))
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
+        harness = AsyncServerThread(service)
+        harness.start()
         try:
             status, headers, body = request(
-                httpd, "POST", "/v1/score",
+                harness, "POST", "/v1/score",
                 {"pairs": [["fruit", "apple"]]})
             assert_envelope(status, headers, body, "not_ready")
             assert status == 503
             assert int(headers["Retry-After"]) >= 1
         finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)
+            harness.stop()
 
 
 class TestLegacyAliases:

@@ -1,13 +1,11 @@
 """End-to-end tests for the asyncio HTTP transport.
 
-Covers the ISSUE 9 acceptance surface: /v1 round-trips and legacy
-aliases through the shared dispatch core, byte-identical
-``/v1/openapi.json`` across both transports, transport pathologies
-(slow-loris 408, header-first 413, admission-control 429 with
-``Retry-After``, idle-timeout keep-alive close, mid-stream client
-disconnect), NDJSON and SSE streaming exercised through the SDK with
-buffered/polling fallbacks against the threaded transport, capability
-advertisement, and graceful drain on both transports.
+Covers /v1 round-trips and legacy aliases through the dispatch core,
+transport pathologies (slow-loris 408, header-first 413, ambiguous
+request framing 400, admission-control 429 with ``Retry-After``,
+idle-timeout keep-alive close, mid-stream client disconnect), NDJSON
+and SSE streaming and long-poll job waits exercised through the SDK,
+capability advertisement, and graceful drain.
 """
 
 import http.client
@@ -21,8 +19,8 @@ import pytest
 from repro.api import ERROR_CODES, TaxonomyApiError, TaxonomyClient
 from repro.serving import (
     ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
-    make_server,
 )
+from repro.serving.routes import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -55,19 +53,8 @@ def async_served(bundle_dir):
     service.stop()
 
 
-@pytest.fixture(scope="module")
-def threaded_served(bundle_dir):
-    """Module threaded server, for cross-transport comparisons."""
-    service = _make_service(bundle_dir)
-    httpd = make_server(service, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[:2]
-    yield f"http://{host}:{port}", service
-    httpd.shutdown()
-    httpd.server_close()
-    service.stop()
-    thread.join(timeout=5)
+#: a 29-byte /v1/score body for the request-framing tests
+_FRAMED_BODY = b'{"pairs": [["fruit", "fig"]]}'
 
 
 def _request(base_url, method, path, payload=None, headers=None):
@@ -106,12 +93,6 @@ class TestAsyncRoundTrips:
         assert capabilities["ndjson"] is True
         assert capabilities["transport"] == "async"
 
-    def test_threaded_health_has_no_capabilities(self, threaded_served):
-        url, _service = threaded_served
-        status, _h, body = _request(url, "GET", "/v1/healthz")
-        assert status == 200
-        assert body.get("capabilities") is None
-
     def test_score_parity_with_service(self, async_served, small_world):
         url, service, _server = async_served
         edges = sorted(small_world.existing_taxonomy.edges())[:4]
@@ -133,16 +114,6 @@ class TestAsyncRoundTrips:
         assert headers["Deprecation"] == "true"
         assert "/v1/score" in headers["Link"]
         assert len(body["probabilities"]) == 2
-
-    def test_openapi_identical_across_transports(self, async_served,
-                                                 threaded_served):
-        async_url, _s, _server = async_served
-        threaded_url, _service = threaded_served
-        _st, _h, from_async = _request(async_url, "GET",
-                                       "/v1/openapi.json")
-        _st, _h, from_threaded = _request(threaded_url, "GET",
-                                          "/v1/openapi.json")
-        assert from_async == from_threaded
 
     def test_unknown_route_404(self, async_served):
         url, _service, _server = async_served
@@ -238,7 +209,6 @@ class TestTransportPathologies:
 
     def test_oversized_body_rejected_header_first(self, strict_server):
         host, port, _service, _server = strict_server
-        from repro.serving.http import MAX_BODY_BYTES
         with socket.create_connection((host, port), timeout=5) as sock:
             sock.sendall(
                 b"POST /v1/score HTTP/1.1\r\nHost: x\r\n"
@@ -257,6 +227,35 @@ class TestTransportPathologies:
                          b"Content-Length: banana\r\n\r\n")
             raw = sock.recv(65536)
         assert b"400" in raw.partition(b"\r\n")[0]
+
+    @pytest.mark.parametrize("path, framing, body", [
+        ("/v1/score", "Content-Length: 2_9", _FRAMED_BODY),
+        ("/v1/score", "Content-Length: +29", _FRAMED_BODY),
+        ("/v1/score", "Content-Length: 5\r\nContent-Length: 29",
+         _FRAMED_BODY),
+        ("/v1/jobs/snapshot", "Transfer-Encoding: chunked",
+         b"2\r\n{}\r\n0\r\n\r\n"),
+    ], ids=["underscore", "plus-sign", "conflicting-repeat", "chunked"])
+    def test_ambiguous_framing_400_and_close(self, strict_server, path,
+                                             framing, body):
+        # RFC 9112 6.3: a proxy could frame these differently, so the
+        # server must refuse them and drop the connection
+        host, port, _service, _server = strict_server
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Type: application/json\r\n"
+                         f"{framing}\r\n\r\n".encode() + body)
+            raw = b""
+            while True:  # until the server closes
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), raw
+        assert b"\r\nConnection: close" in head
+        assert raw.count(b"HTTP/1.1 ") == 1  # body never parsed as a request
+        assert json.loads(payload)["error"]["code"] == "invalid_request"
 
     def test_admission_control_sheds_with_retry_after(self,
                                                       strict_server,
@@ -388,16 +387,6 @@ class TestStreaming:
         assert streamed_pairs == pairs
         assert streamed_probs == client.score(pairs)["probabilities"]
 
-    def test_ndjson_fallback_against_threaded(self, threaded_served,
-                                              small_world):
-        url, _service = threaded_served
-        client = TaxonomyClient(url, timeout=30.0, retries=0)
-        edges = sorted(small_world.existing_taxonomy.edges())[:10]
-        pairs = [list(edge) for edge in edges]
-        chunks = list(client.score_stream(pairs))
-        assert len(chunks) == 1  # buffered whole: one chunk, same data
-        assert chunks[0]["pairs"] == pairs
-
     def test_ndjson_expand_stream(self, async_served, small_world):
         url, service, _server = async_served
         client = TaxonomyClient(url, timeout=30.0, retries=0)
@@ -430,16 +419,6 @@ class TestStreaming:
         assert events[-1]["status"] in ("succeeded", "failed")
         assert all(event["id"] == job["id"] for event in events)
 
-    def test_sse_fallback_against_threaded(self, threaded_served,
-                                           small_world):
-        url, _service = threaded_served
-        client = TaxonomyClient(url, timeout=30.0, retries=0)
-        parents = sorted(small_world.existing_taxonomy.roots())
-        job = client.submit_expand_job(
-            {parents[0]: sorted(small_world.new_concepts)[:2]})
-        events = list(client.job_events(job["id"]))
-        assert len(events) == 1  # one buffered snapshot, then done
-
     def test_sse_unknown_job_is_404(self, async_served):
         url, _service, _server = async_served
         client = TaxonomyClient(url, timeout=30.0, retries=0)
@@ -452,7 +431,6 @@ class TestJobWait:
     def test_long_poll_wait_few_round_trips(self, async_served):
         url, service, server = async_served
         client = TaxonomyClient(url, timeout=30.0, retries=0)
-        assert client.capabilities().get("job_wait") is True
         release = threading.Event()
         job = service.jobs.submit(
             "test-wait", lambda: (release.wait(5.0), {"done": True})[1])
@@ -485,17 +463,6 @@ class TestJobWait:
             url, "GET", f"/v1/jobs/{job['id']}?wait=soon")
         _assert_envelope(status, headers, body, "invalid_request")
 
-    def test_polling_fallback_against_threaded(self, threaded_served,
-                                               small_world):
-        url, _service = threaded_served
-        client = TaxonomyClient(url, timeout=30.0, retries=0)
-        assert client.capabilities() == {}
-        parents = sorted(small_world.existing_taxonomy.roots())
-        job = client.submit_expand_job(
-            {parents[0]: sorted(small_world.new_concepts)[:2]})
-        snapshot = client.wait_for_job(job["id"], timeout=30.0)
-        assert snapshot["status"] == "succeeded"
-
 
 class TestGracefulDrain:
     @staticmethod
@@ -509,6 +476,14 @@ class TestGracefulDrain:
 
         service.score = slow
         return original
+
+    @staticmethod
+    def _wait_admitted(server) -> None:
+        """Block until a request holds a heavy admission slot."""
+        deadline = time.monotonic() + 5.0
+        while server._inflight_heavy < 1:
+            assert time.monotonic() < deadline, "request never admitted"
+            time.sleep(0.01)
 
     def test_async_drain_finishes_inflight(self, bundle_dir,
                                            small_world):
@@ -524,10 +499,12 @@ class TestGracefulDrain:
             _request(url, "POST", "/v1/score", payload)))
         try:
             worker.start()
-            time.sleep(0.15)  # let the slow request get admitted
+            self._wait_admitted(harness.server)
             assert harness.stop(drain_timeout=5.0) is True
             worker.join(timeout=10)
             assert outcomes and outcomes[0][0] == 200
+            # a draining server closes the connection after responding
+            assert outcomes[0][1].get("Connection") == "close"
             # post-drain the listener is gone
             with pytest.raises(OSError):
                 socket.create_connection((host, port), timeout=0.5)
@@ -553,66 +530,8 @@ class TestGracefulDrain:
         worker = threading.Thread(target=doomed_request)
         try:
             worker.start()
-            time.sleep(0.15)
+            self._wait_admitted(harness.server)
             assert harness.stop(drain_timeout=0.2) is False
             worker.join(timeout=10)
         finally:
             service.stop()
-
-    def test_threaded_drain_finishes_inflight(self, bundle_dir,
-                                              small_world):
-        service = _make_service(bundle_dir)
-        self._slow_scoring(service, 0.4)
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        url = f"http://{host}:{port}"
-        edges = sorted(small_world.existing_taxonomy.edges())[:2]
-        payload = {"pairs": [list(e) for e in edges]}
-        outcomes: list = []
-        worker = threading.Thread(target=lambda: outcomes.append(
-            _request(url, "POST", "/v1/score", payload)))
-        try:
-            worker.start()
-            deadline = time.monotonic() + 5.0
-            while httpd.inflight < 1:
-                assert time.monotonic() < deadline, "request never began"
-                time.sleep(0.01)
-            assert httpd.drain(timeout=5.0) is True
-            worker.join(timeout=10)
-            assert outcomes and outcomes[0][0] == 200
-            # a draining handler closes its connection after responding
-            assert outcomes[0][1].get("Connection") == "close"
-        finally:
-            httpd.server_close()
-            service.stop()
-            thread.join(timeout=5)
-
-    def test_threaded_drain_timeout_reports_false(self, bundle_dir,
-                                                  small_world):
-        service = _make_service(bundle_dir)
-        self._slow_scoring(service, 1.5)
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        url = f"http://{host}:{port}"
-        edges = sorted(small_world.existing_taxonomy.edges())[:2]
-        payload = {"pairs": [list(e) for e in edges]}
-        worker = threading.Thread(target=lambda: _request(
-            url, "POST", "/v1/score", payload), daemon=True)
-        try:
-            worker.start()
-            deadline = time.monotonic() + 5.0
-            while httpd.inflight < 1:
-                assert time.monotonic() < deadline, "request never began"
-                time.sleep(0.01)
-            assert httpd.drain(timeout=0.2) is False
-            worker.join(timeout=10)
-        finally:
-            httpd.server_close()
-            service.stop()
-            thread.join(timeout=5)

@@ -94,11 +94,9 @@ def documented_v1_routes() -> set:
 @pytest.fixture(scope="module")
 def live_openapi(tiny_fitted_pipeline, small_world, tmp_path_factory):
     """Start a real server and fetch its generated OpenAPI document."""
-    import threading
-
     from repro.api import TaxonomyClient
     from repro.serving import (
-        ArtifactBundle, ServiceConfig, TaxonomyService, make_server,
+        ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
     )
 
     directory = str(tmp_path_factory.mktemp("contract_bundle"))
@@ -108,17 +106,13 @@ def live_openapi(tiny_fitted_pipeline, small_world, tmp_path_factory):
     service = TaxonomyService(ArtifactBundle.load(directory),
                               ServiceConfig(max_wait_ms=1.0))
     service.start()
-    httpd = make_server(service, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[:2]
+    harness = AsyncServerThread(service)
+    host, port = harness.start()
     try:
         yield TaxonomyClient(f"http://{host}:{port}").openapi()
     finally:
-        httpd.shutdown()
-        httpd.server_close()
+        harness.stop()
         service.stop()
-        thread.join(timeout=5)
 
 
 class TestApiContract:

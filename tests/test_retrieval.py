@@ -24,7 +24,7 @@ from repro.retrieval import (
     topk_blocked,
 )
 from repro.serving import (
-    ArtifactBundle, ServiceConfig, TaxonomyService, make_server,
+    ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
 )
 
 
@@ -364,12 +364,9 @@ class TestHttpSuggest:
         import json
         import urllib.request
 
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
+        harness = AsyncServerThread(service)
+        host, port = harness.start()
         try:
-            host, port = httpd.server_address[:2]
             query = sorted(small_world.new_concepts)[0]
             payload = json.dumps({"query": query, "k": 2}).encode()
             request = urllib.request.Request(
@@ -381,6 +378,4 @@ class TestHttpSuggest:
             assert body["query"] == query
             assert len(body["candidates"]) <= 2
         finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)
+            harness.stop()

@@ -6,14 +6,14 @@ fitted pipeline to a bundle directory, load it back, wrap it in a
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.serving import ArtifactBundle, ServiceConfig, TaxonomyService, \
-    make_server
+from repro.serving import (
+    ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,18 +25,15 @@ def server(tiny_fitted_pipeline, small_world, tmp_path_factory):
     service = TaxonomyService(ArtifactBundle.load(directory),
                               ServiceConfig(max_wait_ms=1.0))
     service.start()
-    httpd = make_server(service, port=0)  # ephemeral port
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    httpd.server_close()
+    harness = AsyncServerThread(service)  # ephemeral port
+    harness.start()
+    yield harness
+    harness.stop()
     service.stop()
-    thread.join(timeout=5)
 
 
 def request(server, path, payload=None):
-    host, port = server.server_address[:2]
+    host, port = server.address
     url = f"http://{host}:{port}{path}"
     data = None if payload is None else json.dumps(payload).encode("utf-8")
     req = urllib.request.Request(
@@ -50,7 +47,7 @@ def request(server, path, payload=None):
 
 
 def request_text(server, path):
-    host, port = server.server_address[:2]
+    host, port = server.address
     with urllib.request.urlopen(f"http://{host}:{port}{path}",
                                 timeout=30) as response:
         return (response.status, response.headers.get("Content-Type"),
@@ -201,7 +198,7 @@ class TestRouting:
         assert status == 404
 
     def test_invalid_json_400(self, server):
-        host, port = server.server_address[:2]
+        host, port = server.address
         req = urllib.request.Request(
             f"http://{host}:{port}/score", data=b"{not json",
             headers={"Content-Type": "application/json"})

@@ -2,12 +2,17 @@
 
 Covers the zero-downtime artifact swap (service level and over HTTP,
 including under concurrent scoring load), the smoke-test guard that
-keeps a bad bundle out, SIGHUP wiring, the engine drain hook, and the
-BatchingScorer worker-death fix (queued requests must fail loudly and
-be counted, never silently dropped).
+keeps a bad bundle out, ``repro serve``'s SIGHUP reload and SIGTERM
+drain, the engine drain hook, and the BatchingScorer worker-death fix
+(queued requests must fail loudly and be counted, never silently
+dropped).
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -17,8 +22,8 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    ArtifactBundle, BatchingScorer, ServiceConfig, TaxonomyService,
-    make_server,
+    ArtifactBundle, AsyncServerThread, BatchingScorer, ServiceConfig,
+    TaxonomyService,
 )
 
 
@@ -145,17 +150,14 @@ class TestHTTPReload:
         service = TaxonomyService(ArtifactBundle.load(v1),
                                   ServiceConfig(max_wait_ms=1.0))
         service.start()
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        yield httpd
-        httpd.shutdown()
-        httpd.server_close()
+        harness = AsyncServerThread(service)
+        harness.start()
+        yield harness
+        harness.stop()
         service.stop()
-        thread.join(timeout=5)
 
     def request(self, server, path, payload=None):
-        host, port = server.server_address[:2]
+        host, port = server.address
         data = None if payload is None else json.dumps(payload).encode()
         request = urllib.request.Request(
             f"http://{host}:{port}{path}", data=data,
@@ -184,27 +186,51 @@ class TestHTTPReload:
         assert "error" in payload
 
 
-class TestSighup:
-    def test_install_and_fire(self, bundles):
-        import os
-        import signal
+class TestServeSignals:
+    """``repro serve``'s own handlers: SIGHUP reloads, SIGTERM drains."""
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGHUP"),
+                        reason="platform has no SIGHUP")
+    def test_sighup_reloads_then_sigterm_exits_zero(self, bundles):
         v1, _v2 = bundles
-        service = TaxonomyService(ArtifactBundle.load(v1))
-        from repro.serving import install_sighup_reload
-        if not hasattr(signal, "SIGHUP"):
-            pytest.skip("platform has no SIGHUP")
-        previous = signal.getsignal(signal.SIGHUP)
-        try:
-            assert install_sighup_reload(service)
-            os.kill(os.getpid(), signal.SIGHUP)
-            deadline = time.time() + 30
-            while time.time() < deadline and \
-                    service.health()["reloads"] < 1:
-                time.sleep(0.05)
-            assert service.health()["reloads"] == 1
-        finally:
-            signal.signal(signal.SIGHUP, previous)
-            service.stop()
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH="src" + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--artifacts", v1, "--port", "0", "--quiet"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                cwd=os.path.dirname(os.path.dirname(__file__)), env=env,
+                text=True) as process:
+            # a server that never announces itself is killed, which ends
+            # the stdout read below with EOF instead of hanging the suite
+            watchdog = threading.Timer(120.0, process.kill)
+            watchdog.start()
+            try:
+                port = None
+                for line in process.stdout:
+                    if "repro serving on http://" in line:
+                        port = int(line.split("http://", 1)[1]
+                                   .split(maxsplit=1)[0].rsplit(":", 1)[1])
+                        break
+                assert port, "server did not announce a port"
+                health_url = f"http://127.0.0.1:{port}/v1/healthz"
+                process.send_signal(signal.SIGHUP)
+                deadline = time.monotonic() + 30
+                while True:
+                    with urllib.request.urlopen(health_url,
+                                                timeout=30) as response:
+                        reloads = json.loads(response.read())["reloads"]
+                    if reloads or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.05)
+                assert reloads == 1
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=30) == 0
+            finally:
+                watchdog.cancel()
+                if process.poll() is None:
+                    process.kill()
 
 
 class TestEngineDrain:
