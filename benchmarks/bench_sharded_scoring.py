@@ -20,7 +20,9 @@ exits non-zero on violation.
 Acceptance target (ISSUE 3): >= 2.5x pairs/sec at 4 workers vs 1 worker
 **on a host with >= 4 usable cores**.  Scoring is CPU-bound numpy, so a
 1-core container cannot exceed ~1x no matter how the work is spread; the
-JSON artifact records ``cpu_count`` so dashboards can gate accordingly,
+JSON artifact records the usable cores (CPU affinity, which the pool's
+BLAS thread budget divides among workers), numpy's BLAS build and each
+pool worker's BLAS thread count, so dashboards can gate accordingly,
 and ``--min-speedup`` turns the target into a hard exit code where the
 hardware supports it.
 
@@ -59,6 +61,7 @@ from repro.gnn import ContrastiveConfig, StructuralConfig
 from repro.nn import SCORE_TOLERANCE
 from repro.plm import PretrainConfig
 from repro.serving import ArtifactBundle, ShardedScorerPool
+from repro.serving.blas import usable_cores
 from repro.synthetic import (
     ClickLogConfig, UgcConfig, WorldConfig, build_world,
     generate_click_logs, generate_ugc,
@@ -139,6 +142,16 @@ def _export_bundle(profile: str) -> tuple[str, list]:
                           vocabulary=world.vocabulary)
     unique = sorted({s.pair for s in pipeline.dataset.all_pairs})
     return directory, unique
+
+
+def _numpy_blas() -> dict:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = {}
+    return {"name": blas.get("name", "unknown"),
+            "version": blas.get("version", "unknown")}
 
 
 def _throughput(score, pairs: list, batch: int, reps: int) -> float:
@@ -259,6 +272,7 @@ def run_shm_bench(directory: str, unique: list, workers: int = 4,
                 "mean_respawn_seconds": (
                     float(np.mean(respawns)) if respawns else None),
                 "worker_modes": [w.mode for w in pool._workers],
+                "blas_threads": pool.blas_thread_counts()["workers"],
             }
             if share:
                 shm = pool.shared_memory_stats()
@@ -295,6 +309,7 @@ def run_bench(profile: str = "default",
                              batch, reps)
 
     pool_pps: dict[int, float] = {}
+    pool_blas: dict[int, list] = {}
     max_delta = 0.0
     for count in worker_counts:
         with ShardedScorerPool(directory, num_workers=count) as pool:
@@ -303,6 +318,7 @@ def run_bench(profile: str = "default",
                             float(np.abs(pooled - reference).max()))
             pool_pps[count] = _throughput(pool.score_pairs, workload,
                                           batch, reps)
+            pool_blas[count] = pool.blas_thread_counts()["workers"]
 
     shm = (run_shm_bench(directory, unique, workers=shm_workers,
                          kills=shm_kills)
@@ -314,9 +330,12 @@ def run_bench(profile: str = "default",
         "distinct_pairs": len(unique),
         "total_pairs": total,
         "batch_size": batch,
-        "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
+        "blas": _numpy_blas(),
         "single_pps": single_pps,
         "pool_pps": {str(count): pps for count, pps in pool_pps.items()},
+        "pool_blas_threads": {str(count): threads
+                              for count, threads in pool_blas.items()},
         # Honest labelling: the baseline is the smallest measured pool,
         # which is 1 worker unless --workers excluded it.
         "speedup_baseline_workers": lo,
@@ -334,11 +353,15 @@ def report(results: dict) -> None:
     print(f"workload           : {results['total_pairs']} scorings "
           f"({results['distinct_pairs']} distinct pairs, "
           f"batch {results['batch_size']})")
-    print(f"host cores         : {results['cpu_count']}")
+    blas = results["blas"]
+    print(f"host               : {results['usable_cores']} usable cores, "
+          f"{blas['name']} {blas['version']}")
     print(f"single process     : {results['single_pps']:.0f} pairs/sec")
     for count, pps in sorted(results["pool_pps"].items(),
                              key=lambda kv: int(kv[0])):
-        print(f"pool ({count} workers)   : {pps:.0f} pairs/sec")
+        threads = results["pool_blas_threads"][count]
+        print(f"pool ({count} workers)   : {pps:.0f} pairs/sec "
+              f"(BLAS threads per worker {threads})")
     print(f"speedup ({results['speedup_top_workers']} vs "
           f"{results['speedup_baseline_workers']} workers) : "
           f"{results['speedup_max_vs_baseline']:.2f}x")

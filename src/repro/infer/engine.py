@@ -64,9 +64,10 @@ _NODE_DTYPE_ALIASES = {
     "float16": np.float16, "fp16": np.float16, "half": np.float16,
 }
 
-#: pair token-id memo bound; the whole dict is dropped when exceeded
-#: (entries are tiny lists — wholesale reset is cheaper than LRU churn)
-_PAIR_CACHE_LIMIT = 65536
+#: per-concept token-id cache bound; the whole dict is dropped when
+#: exceeded (entries are tiny lists — wholesale reset is cheaper than
+#: LRU churn)
+_TOKEN_CACHE_LIMIT = 65536
 MODE_FAST = "fast"
 MODE_AUTOGRAD = "autograd"
 
@@ -215,8 +216,6 @@ class InferenceEngine:
             self._max_len = relational.model.config.max_len
             self._relational_dim = relational.dim
             self._token_cache: dict[str, list[int]] = {}  # guarded-by: self._lock
-            #: pair -> (template ids, segment boundary)
-            self._pair_cache: dict = {}  # guarded-by: self._lock
             #: pair -> pooled concept vector (LRU)
             self._concept_cache: OrderedDict = OrderedDict()  # guarded-by: self._lock
         else:
@@ -347,7 +346,7 @@ class InferenceEngine:
         if ids is None:
             tok = self._tokenizer
             ids = [tok.token_to_id(t) for t in concept.split()]
-            if len(self._token_cache) >= _PAIR_CACHE_LIMIT:
+            if len(self._token_cache) >= _TOKEN_CACHE_LIMIT:
                 # Arbitrary client strings reach this cache via /score;
                 # wholesale reset keeps a long-running service bounded.
                 self._token_cache.clear()
@@ -359,15 +358,11 @@ class InferenceEngine:
         :meth:`~repro.plm.RelationalEncoder.pair_ids` (truncation
         included); the boundary is the first segment-1 position.
 
-        Assembled sequences are memoised per pair (the expansion
-        traversal and repeated candidate sets revisit pairs constantly);
-        the cache is wiped wholesale past ``_PAIR_CACHE_LIMIT`` entries.
+        Built on every call from the per-concept token cache — two dict
+        lookups and a list concatenation — so the engine keeps no
+        per-pair state and never-repeated pairs do not grow its memory.
         """
         # holds: self._lock
-        key = (query, item)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
         query_ids = self._concept_token_ids(query)
         item_ids = self._concept_token_ids(item)
         if self._use_template:
@@ -382,9 +377,6 @@ class InferenceEngine:
             ids = ids[:self._max_len]
             ids[-1] = self._sep_id
             boundary = min(boundary, self._max_len)
-        if len(self._pair_cache) >= _PAIR_CACHE_LIMIT:
-            self._pair_cache.clear()
-        self._pair_cache[key] = (ids, boundary)
         return ids, boundary
 
     def _bucket_width(self, length: int) -> int:
@@ -922,7 +914,6 @@ class InferenceEngine:
             engine._pad_id = tokenizer.pad_id
             engine._max_len = engine.bert.max_len
             engine._token_cache = {}
-            engine._pair_cache = {}
             engine._concept_cache = OrderedDict()
         else:
             engine.bert = None

@@ -38,6 +38,15 @@ Design notes:
   respawns dead workers in the background instead of waiting for the
   next request to their shard, so a crashed worker's shard is usually
   healthy again before traffic notices.
+* **BLAS thread budget** — OpenBLAS sizes its thread pool to every
+  core, so N workers would run N x cores GEMM threads and oversubscribe
+  the CPU.  Each worker gets ``max(1, usable_cores // num_workers)``
+  threads (:mod:`repro.serving.blas`): a worker lowers its count to the
+  budget at start — never raising one the operator lowered with
+  ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``, and without keeping
+  the idle, spinning BLAS threads that lowering starts — and reports
+  the count back in its ready handshake.  The parent's count is left
+  alone.
 * **zero-copy shared weights** — by default (``REPRO_SHM`` unset or
   truthy, fast inference mode) the parent publishes every read-only
   engine array into :class:`~repro.serving.shm.SharedArtifactStore`
@@ -68,6 +77,8 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .blas import limit_blas_threads, usable_cores
 
 __all__ = ["PoolStats", "ShardedScorerPool", "shared_memory_default"]
 
@@ -164,15 +175,17 @@ def _load_worker_bundle(bundle_dir: str, shared_manifest: dict | None
     return ArtifactBundle.load(bundle_dir), info
 
 
-def _worker_main(conn, bundle_dir: str,
-                 shared_manifest: dict | None = None) -> None:
+def _worker_main(conn, bundle_dir: str, shared_manifest: dict | None,
+                 blas_budget: int) -> None:
     """Worker-process entry point: attach or load the bundle, serve the pipe.
 
-    With a ``shared_manifest`` the worker attaches the parent's
-    shared-memory segments zero-copy (falling back to a private
-    ``ArtifactBundle.load`` when attach fails); without one it loads
-    privately as before.  Messages are processed strictly in order,
-    which is what makes reload-behind-inflight draining work.
+    The worker first lowers its OpenBLAS threads to ``blas_budget`` and
+    reports the count it reads back in the ready handshake.  With a
+    ``shared_manifest`` it attaches the parent's shared-memory segments
+    zero-copy (falling back to a private ``ArtifactBundle.load`` when
+    attach fails); without one it loads privately as before.  Messages
+    are processed strictly in order, which is what makes
+    reload-behind-inflight draining work.
     Per-message failures are reported back as ``("err", req_id, repr)``;
     only a broken pipe (the parent died) exits the loop.
     """
@@ -186,6 +199,7 @@ def _worker_main(conn, bundle_dir: str,
     # (repro.serving.shm); only the owner may tear segments down, so
     # restore the default disposition for a clean terminate().
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threads = limit_blas_threads(blas_budget)
 
     from .artifacts import ArtifactBundle, SharedBundleView
     try:
@@ -194,6 +208,7 @@ def _worker_main(conn, bundle_dir: str,
         conn.send(("fatal", repr(error)))
         conn.close()
         return
+    info["blas_threads"] = threads
     conn.send(("ready", os.getpid(), info))
     parent_pid = os.getppid()
 
@@ -305,6 +320,8 @@ class _Worker:
         self.alive = False
         #: "shared" when serving attached segments, else "private"
         self.mode = "private"
+        #: OpenBLAS threads read back at start (None: no OpenBLAS)
+        self.blas_threads: int | None = None
 
 
 class ShardedScorerPool:
@@ -322,6 +339,8 @@ class ShardedScorerPool:
     num_workers:
         Worker-process count (>= 1).  Throughput scales with cores until
         workers outnumber them; see ``benchmarks/bench_sharded_scoring``.
+        It also sets the BLAS thread budget, ``max(1, usable cores //
+        num_workers)`` per worker (``blas_budget``).
     mp_context:
         ``multiprocessing`` start method; default ``fork`` where
         available (fast startup) falling back to ``spawn``.  The pool
@@ -356,6 +375,7 @@ class ShardedScorerPool:
             raise ValueError("num_workers must be >= 1")
         self.bundle_dir = bundle_dir
         self.num_workers = num_workers
+        self.blas_budget = max(1, usable_cores() // num_workers)
         self.request_timeout = request_timeout
         self.watchdog_interval = watchdog_interval or None
         self._share_requested = (shared_memory_default()
@@ -703,6 +723,17 @@ class ShardedScorerPool:
             "publish_failures": publish_failures,
         }
 
+    def blas_thread_counts(self) -> dict:
+        """The BLAS thread budget and the workers' counts, for ``/healthz``.
+
+        ``workers`` lists each worker's OpenBLAS count from its ready
+        handshake, by index; a count is ``None`` where no OpenBLAS was
+        found.
+        """
+        return {"budget": self.blas_budget,
+                "workers": [worker.blas_threads
+                            for worker in self._workers]}
+
     def respawn_stats(self) -> dict:
         """Spawn-to-ready latency summary (count / total / max seconds)."""
         with self._stats_lock:
@@ -848,7 +879,8 @@ class ShardedScorerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.bundle_dir, self._manifest),
+            args=(child_conn, self.bundle_dir, self._manifest,
+                  self.blas_budget),
             name=f"repro-scorer-{worker.index}", daemon=True)
         started_at = time.perf_counter()
         process.start()
@@ -867,6 +899,7 @@ class ShardedScorerPool:
         elapsed = time.perf_counter() - started_at
         info = message[2] if len(message) > 2 else {}
         self._note_worker_mode(worker.index, info, self._manifest)
+        worker.blas_threads = info.get("blas_threads")
         worker.process = process
         worker.conn = parent_conn
         worker.pending = {}

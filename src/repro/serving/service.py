@@ -1073,6 +1073,7 @@ class TaxonomyService:
         if self.pool is not None:
             workers["pool"] = self.pool.running
             workers["pool_stats"] = self.pool.stats_snapshot().as_dict()
+            workers["blas_threads"] = self.pool.blas_thread_counts()
         payload = {
             "status": "degraded" if errors else "ok",
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),

@@ -9,9 +9,14 @@ float32-tied.  Also covers the vectorized input-assembly satellites
 
 from __future__ import annotations
 
+import gc
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro
 from repro.infer import (
     MODE_AUTOGRAD, MODE_FAST, InferenceEngine, default_inference_mode,
     resolve_inference_mode,
@@ -328,6 +333,49 @@ class TestEngineEndToEnd:
             ids, boundary = engine.pair_token_ids(query, item)
             assert ids == ref_ids
             assert boundary == len(ref_segments) - sum(ref_segments)
+
+    def test_never_repeated_pairs_retain_no_memory(self,
+                                                   tiny_fitted_pipeline,
+                                                   small_world):
+        """The engine keeps per-concept state only, never per-pair state.
+
+        Two equal rounds of distinct pairs over one fixed concept set:
+        the first fills the per-concept caches, so whatever the second
+        round retains is per-pair.  Both rounds end on the same closing
+        batch, so the scratch workspace has the same shapes at both
+        snapshots.
+        """
+        engine = InferenceEngine(tiny_fitted_pipeline.detector)
+        concepts = sorted(small_world.vocabulary)
+        concepts += [f"unseen concept {i}" for i in range(100 - len(concepts))]
+        width = 30  # offsets per round: 30 x 100 = 3,000 pairs
+
+        def round_pairs(first_offset):
+            return [(concepts[i], concepts[(i + offset) % len(concepts)])
+                    for offset in range(first_offset, first_offset + width)
+                    for i in range(len(concepts))]
+
+        rounds = [round_pairs(1), round_pairs(1 + width)]
+        assert not set(rounds[0]) & set(rounds[1])
+        closing = rounds[0][:64]
+        source = tracemalloc.Filter(
+            True, os.path.join(os.path.dirname(repro.__file__), "*"))
+
+        def retained(pairs):
+            for start in range(0, len(pairs), 256):
+                engine.score_pairs(pairs[start:start + 256])
+            engine.score_pairs(closing)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces([source])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            first = retained(rounds[0])
+            second = retained(rounds[1])
+        finally:
+            tracemalloc.stop()
+        assert second - first < 16 * len(rounds[1]), (first, second)
 
     def test_stats_accumulate(self, tiny_fitted_pipeline, scored_pairs):
         engine = InferenceEngine(tiny_fitted_pipeline.detector)

@@ -1,17 +1,26 @@
-"""ShardedScorerPool tests: parity, sharding, failure recovery, reload.
+"""ShardedScorerPool tests: parity, sharding, failure recovery, reload,
+and the BLAS thread budget.
 
 The pool must be a drop-in ``Scorer``: identical probabilities (within
 the float32 batch-composition tolerance) to the in-process engine, with
 worker processes that die loudly, respawn, and hot-swap bundles without
-dropping requests.
+dropping requests, and that together run no more BLAS threads than
+there are cores.
 """
+
+import json
+import os
+import urllib.request
 
 import numpy as np
 import pytest
 
 from repro.serving import (
-    ArtifactBundle, BatchingScorer, ServiceConfig, ShardedScorerPool,
-    TaxonomyService,
+    ArtifactBundle, AsyncServerThread, BatchingScorer, ServiceConfig,
+    ShardedScorerPool, TaxonomyService,
+)
+from repro.serving.blas import (
+    _openblas, blas_threads, limit_blas_threads, usable_cores,
 )
 
 
@@ -172,3 +181,56 @@ class TestServiceIntegration:
         second = scorer.score_pairs(scoring_pairs[:8])  # cache hits
         np.testing.assert_allclose(second, first, atol=0, rtol=0)
         assert scorer.stats_snapshot().cache_hits >= 8
+
+
+def _os_threads(pid: int) -> int:
+    return len(os.listdir(f"/proc/{pid}/task"))
+
+
+def _start_methods():
+    import multiprocessing
+    return [m for m in ("fork", "spawn")
+            if m in multiprocessing.get_all_start_methods()]
+
+
+@pytest.mark.parametrize("mp_context", _start_methods())
+class TestBlasThreadBudget:
+    def test_workers_run_the_budget_and_healthz_reports_it(
+            self, bundle_dir, mp_context):
+        initial = blas_threads()
+        if initial is None:
+            pytest.skip("numpy links no OpenBLAS the limiter can resolve")
+        # The limiter lowers a count; it never raises one.
+        assert limit_blas_threads(initial + 1) == initial
+        assert blas_threads() == initial
+        budget = max(1, usable_cores() // 2)
+        expected = min(initial, budget)
+
+        with ShardedScorerPool(bundle_dir, num_workers=2,
+                               mp_context=mp_context,
+                               watchdog_interval=None) as pool:
+            counts = {"budget": budget, "workers": [expected, expected]}
+            assert pool.blas_thread_counts() == counts
+            # The budget is the workers'; the parent keeps its own count.
+            assert blas_threads() == initial
+            if (expected < initial and os.path.isdir("/proc/self/task")
+                    and _openblas()[2] is not None):
+                # Lowering the count starts OpenBLAS's thread pool, whose
+                # idle threads spin; the limiter shuts it down again, so
+                # a fresh worker runs its main thread only.
+                assert [_os_threads(worker.process.pid)
+                        for worker in pool._workers] == [1, 1]
+            service = TaxonomyService(ArtifactBundle.load(bundle_dir),
+                                      ServiceConfig(), pool=pool)
+            harness = AsyncServerThread(service)
+            host, port = harness.start()
+            try:
+                with urllib.request.urlopen(
+                        f"http://{host}:{port}/v1/healthz",
+                        timeout=30) as response:
+                    health = json.loads(response.read())
+            finally:
+                harness.stop()
+                service.stop()
+            assert health["workers"]["blas_threads"] == counts
+        assert blas_threads() == initial
