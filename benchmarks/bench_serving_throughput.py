@@ -8,8 +8,9 @@ compares
 
 * **naive**: one ``score_pairs`` call per pair (the pre-serving cost
   model — every request pays full per-call encoder overhead),
-* **batched**: a :class:`BatchingScorer` in synchronous mode (misses
-  scored in ``max_batch`` slices, hits served from the LRU cache).
+* **batched**: a :class:`BatchingScorer` in synchronous mode (each
+  request's misses scored in one model call, hits served from the LRU
+  cache).
 
 Acceptance target (ISSUE 1): batched + cached must be >= 2x faster on
 repeated candidate sets.
@@ -93,8 +94,7 @@ def run_throughput() -> dict:
             pipeline.score_pairs([pair])
     naive_seconds = time.perf_counter() - start
 
-    scorer = BatchingScorer(pipeline.score_pairs, max_batch=128,
-                            cache_size=8192)
+    scorer = BatchingScorer(pipeline.score_pairs, cache_size=8192)
     start = time.perf_counter()
     for candidate_set in workload:
         scorer.score_pairs(candidate_set)

@@ -385,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8631,
                               help="0 picks an ephemeral port")
     serve_parser.add_argument("--max-batch", type=int, default=64,
-                              help="pairs per coalesced model call")
+                              help="pairs at which coalescing stops; a "
+                                   "request with this many cache misses "
+                                   "skips the queue")
     serve_parser.add_argument("--max-wait-ms", type=float, default=2.0,
                               help="micro-batching window")
     serve_parser.add_argument("--cache-size", type=int, default=4096,

@@ -163,8 +163,12 @@ class InferenceEngine:
         autograd path bit-for-bit and is useful for debugging parity).
     max_batch:
         Sequences per encoder call; longer inputs are chunked.  The
-        default is tuned for cache locality — larger chunks spill the
-        attention score tensor out of L2/L3 and run measurably slower.
+        encoder's scratch buffers are sized by the largest chunk, so the
+        default matches the service's coalescing cap
+        (``ServiceConfig.max_batch``): a bulk request, which reaches the
+        engine in one call, runs in the same row counts as coalesced
+        traffic instead of growing the workspace.  Shared-memory workers
+        copy the parent engine's value.
     bucket_multiple:
         Padded widths are rounded up to this multiple so length buckets
         collapse onto few distinct shapes and scratch buffers recycle.
@@ -182,7 +186,7 @@ class InferenceEngine:
     #: attachments rarely trigger a buffer reallocation
     _GROWTH_SLACK = 64
 
-    def __init__(self, detector, dtype=np.float32, max_batch: int = 128,
+    def __init__(self, detector, dtype=np.float32, max_batch: int = 64,
                  bucket_multiple: int = 4, concept_cache_size: int = 4096,
                  node_dtype=None):
         if max_batch < 1:

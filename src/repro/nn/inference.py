@@ -65,6 +65,11 @@ class Workspace:
     def clear(self) -> None:
         self._buffers.clear()
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by every scratch buffer."""
+        return sum(buffer.nbytes for buffer in self._buffers.values())
+
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
            out: np.ndarray | None = None) -> np.ndarray:
@@ -424,27 +429,28 @@ class CompiledBert:
             np.subtract(np.float32(1.0), mask, out=mask_bias)
             mask_bias *= _MASK_BIAS
 
-        for i, layer in enumerate(self.layers):
+        # Each layer is done with its scratch buffers before the next
+        # one starts, so every layer shares one set of them.
+        for layer in self.layers:
             attended = multi_head_attention(
                 hidden, layer.w_qkv, layer.b_qkv, layer.w_attn_out,
                 layer.b_attn_out, self.num_heads, mask_bias, workspace,
-                site=f"layer{i}.attn")
+                site="attn")
             hidden += attended
             layer_norm_(hidden, layer.norm1_gamma, layer.norm1_beta,
-                        layer.norm1_eps, workspace, f"layer{i}.ln1")
+                        layer.norm1_eps, workspace, "ln1")
             ffn = linear(hidden, layer.w_ffn1, layer.b_ffn1,
-                         out=workspace.get(f"layer{i}.ffn",
-                                           (batch, seq,
-                                            layer.w_ffn1.shape[1]),
-                                           self.dtype))
-            gelu_(ffn, workspace, f"layer{i}.gelu")
+                         out=workspace.get(
+                             "ffn", (batch, seq, layer.w_ffn1.shape[1]),
+                             self.dtype))
+            gelu_(ffn, workspace, "gelu")
             projected = linear(ffn, layer.w_ffn2, layer.b_ffn2,
-                               out=workspace.get(f"layer{i}.proj",
+                               out=workspace.get("proj",
                                                  (batch, seq, self.dim),
                                                  self.dtype))
             hidden += projected
             layer_norm_(hidden, layer.norm2_gamma, layer.norm2_beta,
-                        layer.norm2_eps, workspace, f"layer{i}.ln2")
+                        layer.norm2_eps, workspace, "ln2")
         return hidden
 
     def cls_representation(self, ids: np.ndarray,

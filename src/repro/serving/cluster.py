@@ -47,6 +47,15 @@ Design notes:
   the idle, spinning BLAS threads that lowering starts — and reports
   the count back in its ready handshake.  The parent's count is left
   alone.
+* **inherited pages stay shared** — a forked worker shares the parent's
+  memory copy-on-write, and a collection writes into the header of
+  every object it scans, so one full collection in the parent would
+  turn every page holding an inherited object into a private copy,
+  megabytes of them.  Under the fork start method :meth:`_spawn` calls
+  :func:`gc.freeze` right before each fork, which takes every object
+  alive at that moment out of the collector's view (CPython's
+  recommendation for fork servers).  The cost: cyclic garbage among
+  those objects is never reclaimed.
 * **zero-copy shared weights** — by default (``REPRO_SHM`` unset or
   truthy, fast inference mode) the parent publishes every read-only
   engine array into :class:`~repro.serving.shm.SharedArtifactStore`
@@ -68,6 +77,7 @@ never rankings.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import os
 import threading
@@ -883,6 +893,10 @@ class ShardedScorerPool:
                   self.blas_budget),
             name=f"repro-scorer-{worker.index}", daemon=True)
         started_at = time.perf_counter()
+        if self._ctx.get_start_method() == "fork":
+            # Keep the pages the child inherits shared: the collector
+            # skips frozen objects, so it never writes into those pages.
+            gc.freeze()
         process.start()
         child_conn.close()
         if not parent_conn.poll(READY_TIMEOUT):

@@ -7,14 +7,22 @@ requests overlap heavily.  :class:`BatchingScorer` wraps any
 ``HyponymyDetector.predict_proba`` via ``pipeline.score_pairs``) with
 
 * an **LRU score cache** keyed on the (parent, child) pair, and
-* **micro-batching**: when the worker is running, requests queued within
-  ``max_wait_ms`` of each other are coalesced into one underlying model
-  call of up to ``max_batch`` pairs, amortising per-call encoder overhead
-  across clients.
+* **micro-batching**: when the worker is running, small requests queued
+  within ``max_wait_ms`` of each other are coalesced into one underlying
+  model call, amortising per-call encoder overhead across clients.  A
+  batch stops taking requests once it holds ``max_batch`` pairs.
 
-Without :meth:`start` the scorer degrades gracefully to synchronous
-cached batching (one underlying call per request), so it can stand in for
-the raw scorer anywhere — including inside
+A request whose cache misses alone reach ``max_batch`` has nothing to
+gain from coalescing: it skips the queue and makes its one underlying
+call on the caller's thread, so concurrent large requests run side by
+side (a worker pool sees all of them at once) instead of one at a time
+behind the coalescing thread.  The backend chunks by its own limits
+(:class:`~repro.infer.InferenceEngine` by its ``max_batch``, the autograd
+path by its ``batch_size``).
+
+Without :meth:`start` every request takes that synchronous path (one
+underlying call per request), so the scorer can stand in for the raw
+scorer anywhere — including inside
 :class:`~repro.core.IncrementalExpander`.
 """
 
@@ -85,7 +93,10 @@ class BatchingScorer:
         Underlying callable mapping ``list[(parent, child)]`` to an array
         of positive-class probabilities.
     max_batch:
-        Upper bound on pairs per underlying model call.
+        Coalescing cap: the worker stops adding queued requests to a
+        batch once it holds this many pairs.  A request with at least
+        this many cache misses skips the queue and is scored in one call
+        on the caller's thread.
     max_wait_ms:
         How long the worker waits for more requests to coalesce after the
         first one arrives (ignored in synchronous mode).
@@ -171,7 +182,8 @@ class BatchingScorer:
                 else:
                     self._stats.cache_hits += 1
                     resolved[pair] = value
-            if missing and self.running and not self._stopping and \
+            if 0 < len(missing) < self.max_batch and self.running and \
+                    not self._stopping and \
                     threading.current_thread() is not self._worker:
                 request = _Request(missing)
                 self._queue.append(request)
@@ -179,8 +191,8 @@ class BatchingScorer:
             else:
                 request = None
         if missing and request is None:
-            # Synchronous path: score all misses in max_batch-sized calls.
-            resolved.update(self._score_chunked(missing, coalesced=1))
+            # Synchronous path: one backend call on the caller's thread.
+            resolved.update(self._score_batch(missing, coalesced=1))
         elif missing:
             request.event.wait()
             if request.error is not None:
@@ -199,7 +211,7 @@ class BatchingScorer:
     def stats(self) -> ScorerStats:
         """Live traffic counters (shared object, read-only use).
 
-        The worker mutates this object mid-batch; use
+        Scoring threads mutate this object mid-batch; use
         :meth:`stats_snapshot` when a consistent view is needed (e.g.
         ``/metrics`` must never see pairs_scored from one batch with
         cache_hits from the next).
@@ -280,22 +292,16 @@ class BatchingScorer:
             return self._cache[pair]
         return _MISSING
 
-    def _score_chunked(self, pairs: list[Pair],
-                       coalesced: int) -> dict[Pair, float]:
-        """Run the underlying scorer in ``max_batch``-sized calls."""
-        known: dict[Pair, float] = {}
+    def _score_batch(self, pairs: list[Pair],
+                     coalesced: int) -> dict[Pair, float]:
+        """Score ``pairs`` in one underlying call and cache the results."""
         with self._lock:
-            scorer = self._scorer  # one consistent model across the batch
+            scorer = self._scorer
             epoch = self._epoch
-        for start in range(0, len(pairs), self.max_batch):
-            chunk = pairs[start:start + self.max_batch]
-            scores = np.asarray(scorer(chunk), dtype=np.float64)
-            with self._lock:
-                self._record_batch(chunk, scores,
-                                   coalesced=coalesced if start == 0 else 0,
-                                   epoch=epoch)
-            known.update(zip(chunk, scores.tolist()))
-        return known
+        scores = np.asarray(scorer(pairs), dtype=np.float64)
+        with self._lock:
+            self._record_batch(pairs, scores, coalesced, epoch)
+        return dict(zip(pairs, scores.tolist()))
 
     def _record_batch(self, pairs: list[Pair], scores: np.ndarray,
                       coalesced: int, epoch: int) -> None:
@@ -374,7 +380,7 @@ class BatchingScorer:
                     known[pair] = value
         try:
             if to_score:
-                known.update(self._score_chunked(
+                known.update(self._score_batch(
                     to_score, coalesced=len(batch)))
         except Exception as error:  # propagate to every waiter
             for request in batch:

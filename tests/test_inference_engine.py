@@ -182,6 +182,24 @@ class TestCompiledBert:
             compiled.encode(np.zeros((1, model.config.max_len + 1),
                                      dtype=np.int64))
 
+    def test_layers_share_one_scratch_set(self, toy_model, rng):
+        """Workspace bytes after one call do not grow with depth."""
+        tok, _model = toy_model
+        ids = rng.integers(0, tok.vocab_size, size=(5, 12))
+        mask = np.ones((5, 12))
+        mask[:, 9:] = 0.0
+        held = []
+        for num_layers in (1, 3):
+            model = MiniBert(BertConfig(
+                vocab_size=tok.vocab_size, dim=24, num_layers=num_layers,
+                num_heads=3, ffn_dim=48, max_len=16, seed=11))
+            model.eval()
+            compiled = model.compile_inference()
+            compiled.encode(ids, mask)
+            held.append(compiled.workspace.nbytes)
+        assert held[0] > 0
+        assert held[1] == held[0]
+
 
 class TestVectorizedAssembly:
     def test_pad_batch_matches_reference_loop(self, rng):

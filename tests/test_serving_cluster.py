@@ -8,6 +8,7 @@ dropping requests, and that together run no more BLAS threads than
 there are cores.
 """
 
+import gc
 import json
 import os
 import urllib.request
@@ -234,3 +235,32 @@ class TestBlasThreadBudget:
                 service.stop()
             assert health["workers"]["blas_threads"] == counts
         assert blas_threads() == initial
+
+
+def _private_dirty_kb() -> int:
+    with open("/proc/self/smaps_rollup") as rollup:
+        for line in rollup:
+            if line.startswith("Private_Dirty:"):
+                return int(line.split()[1])
+    raise AssertionError("smaps_rollup has no Private_Dirty line")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup")
+                    or "fork" not in _start_methods(),
+                    reason="needs /proc smaps_rollup and fork")
+def test_parent_collection_keeps_inherited_pages_shared(bundle_dir):
+    """A full collection in the parent copies no page its workers share.
+
+    The collector writes into every object it scans, so without the
+    pool's ``gc.freeze`` before each fork this collection turns the
+    pages under the parent's (and the loaded bundle's) objects from
+    shared to private parent memory, megabytes of them.
+    """
+    bundle = ArtifactBundle.load(bundle_dir)
+    gc.collect()
+    with ShardedScorerPool(bundle_dir, num_workers=2, mp_context="fork",
+                           watchdog_interval=None, bundle=bundle):
+        before = _private_dirty_kb()
+        gc.collect()
+        grown_kb = _private_dirty_kb() - before
+    assert grown_kb < 2048, grown_kb

@@ -1,5 +1,6 @@
 """BatchingScorer tests: equivalence, caching, coalescing, backoff paths."""
 
+import sys
 import threading
 import time
 
@@ -10,16 +11,19 @@ from repro.serving import BatchingScorer
 
 
 class CountingScorer:
-    """Deterministic fake scorer that records every underlying call."""
+    """Deterministic fake scorer that records every underlying call and
+    the thread it ran on."""
 
     def __init__(self, delay: float = 0.0):
         self.calls: list[list] = []
+        self.threads: list[threading.Thread] = []
         self.delay = delay
         self._lock = threading.Lock()
 
     def __call__(self, pairs):
         with self._lock:
             self.calls.append(list(pairs))
+            self.threads.append(threading.current_thread())
         if self.delay:
             time.sleep(self.delay)
         return np.array([self.score(p) for p in pairs])
@@ -174,11 +178,25 @@ class TestWorkerMode:
         assert len(raw.calls) < 10  # fewer model calls than requests
         assert scorer.stats.coalesced_requests >= scorer.stats.batches
 
-    def test_max_batch_respected(self):
-        raw = CountingScorer()
-        with BatchingScorer(raw, max_batch=4, max_wait_ms=5.0) as scorer:
-            scorer.score_pairs(PAIRS)
-        assert all(len(call) <= 4 for call in raw.calls)
+    def test_small_queued_requests_coalesce_up_to_max_batch(self):
+        raw = CountingScorer(delay=0.01)
+        requests = [PAIRS[2 * i:2 * i + 2] for i in range(10)]
+        results = {}
+        with BatchingScorer(raw, max_batch=8, max_wait_ms=50.0) as scorer:
+            def request(i):
+                results[i] = scorer.score_pairs(requests[i])
+
+            threads = [threading.Thread(target=request, args=(i,))
+                       for i in range(len(requests))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        assert len(raw.calls) < len(requests)
+        assert max(len(call) for call in raw.calls) <= 8
+        for i, mine in enumerate(requests):
+            np.testing.assert_allclose(results[i], expected(mine))
 
     def test_errors_propagate_to_caller(self):
         def explode(pairs):
@@ -206,6 +224,141 @@ class TestWorkerMode:
         scorer.stop()
         np.testing.assert_allclose(scorer.score_pairs(PAIRS[:2]),
                                    expected(PAIRS[:2]))
+
+
+class TestBatchFillingRequests:
+    """Requests whose misses reach ``max_batch`` skip the queue."""
+
+    def test_one_call_on_the_callers_thread(self):
+        raw = CountingScorer()
+        with BatchingScorer(raw, max_batch=4, max_wait_ms=5.0) as scorer:
+            got = scorer.score_pairs(PAIRS)
+        np.testing.assert_allclose(got, expected(PAIRS))
+        assert raw.calls == [PAIRS]
+        assert raw.threads == [threading.current_thread()]
+        stats = scorer.stats_snapshot()
+        assert (stats.model_calls, stats.batches,
+                stats.coalesced_requests) == (1, 1, 1)
+
+    def test_threshold_counts_cache_misses_not_request_size(self):
+        raw = CountingScorer()
+        with BatchingScorer(raw, max_batch=4, max_wait_ms=5.0) as scorer:
+            scorer.score_pairs(PAIRS[:2])
+            # 5 pairs, 3 of them misses: below max_batch, so queued.
+            scorer.score_pairs(PAIRS[:5])
+            # exactly max_batch misses: scored on this thread
+            scorer.score_pairs(PAIRS[5:9])
+        caller = threading.current_thread()
+        assert raw.calls == [PAIRS[:2], PAIRS[2:5], PAIRS[5:9]]
+        assert [thread is caller for thread in raw.threads] == \
+            [False, False, True]
+
+    def test_concurrent_requests_overlap_in_the_backend(self):
+        """Two batch-filling requests are inside the backend at once.
+
+        Each call waits for the other at a barrier; requests served one
+        at a time would break it on its timeout.
+        """
+        barrier = threading.Barrier(2, timeout=10.0)
+
+        def rendezvous(pairs):
+            barrier.wait()
+            return expected(pairs)
+
+        requests = [PAIRS[:10], PAIRS[10:]]
+        results, errors = {}, []
+        with BatchingScorer(rendezvous, max_batch=4,
+                            max_wait_ms=5.0) as scorer:
+            def request(i):
+                try:
+                    results[i] = scorer.score_pairs(requests[i])
+                except Exception as error:
+                    errors.append(error)
+
+            threads = [threading.Thread(target=request, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        assert not errors
+        for i, mine in enumerate(requests):
+            np.testing.assert_allclose(results[i], expected(mine))
+
+    def test_swap_fences_an_in_flight_call_out_of_the_cache(self):
+        entered, release = threading.Event(), threading.Event()
+        old_threads = []
+
+        def old_model(pairs):
+            old_threads.append(threading.current_thread())
+            entered.set()
+            assert release.wait(10.0)
+            return np.zeros(len(pairs))
+
+        new_model = CountingScorer()
+        results = {}
+        with BatchingScorer(old_model, max_batch=4,
+                            max_wait_ms=5.0) as scorer:
+            caller = threading.Thread(target=lambda: results.setdefault(
+                "old", scorer.score_pairs(PAIRS[:8])))
+            caller.start()
+            assert entered.wait(10.0)
+            scorer.swap_scorer(new_model)
+            release.set()
+            caller.join(10.0)
+            assert not caller.is_alive()
+            # the old model's scores reach their caller but not the cache
+            np.testing.assert_array_equal(results["old"], np.zeros(8))
+            assert old_threads == [caller]
+            assert scorer.cache_len() == 0
+            np.testing.assert_allclose(scorer.score_pairs(PAIRS[:8]),
+                                       expected(PAIRS[:8]))
+        assert new_model.calls == [PAIRS[:8]]
+
+    def test_mixed_concurrent_traffic_loses_no_update(self):
+        """Queued and caller-thread batches interleave; counters and the
+        cache account for every pair exactly once."""
+        raw = CountingScorer()
+        sizes = [1, 3, 4, 9]  # two below max_batch=4, two at or above it
+        clients, rounds = 6, 15
+        expected_pairs = clients * rounds * sum(sizes)
+        results, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with BatchingScorer(raw, max_batch=4, max_wait_ms=1.0,
+                                cache_size=expected_pairs) as scorer:
+                def client(c):
+                    try:
+                        for r in range(rounds):
+                            for size in sizes:
+                                mine = [(f"c{c} r{r} n{size}", f"child {k}")
+                                        for k in range(size)]
+                                results.append(
+                                    (mine, scorer.score_pairs(mine)))
+                    except Exception as error:
+                        errors.append(error)
+
+                threads = [threading.Thread(target=client, args=(c,))
+                           for c in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(results) == clients * rounds * len(sizes)
+        for mine, got in results:
+            np.testing.assert_allclose(got, expected(mine))
+        stats = scorer.stats_snapshot()
+        assert stats.requests == len(results)
+        assert stats.pairs_scored == raw.num_pairs_scored == expected_pairs
+        assert stats.model_calls == len(raw.calls)
+        assert stats.coalesced_requests == len(results)
+        assert scorer.cache_len() == expected_pairs
 
 
 class TestAsScorerProtocol:
