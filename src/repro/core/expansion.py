@@ -6,17 +6,29 @@ accepted hyponyms are attached.  Newly attached concepts join the frontier
 and are processed when the next layer is reached, so expansion grows both
 width and depth in a single traversal.  Finally, edges implied by longer
 paths are pruned (transitive reduction).
+
+The frontier is walked one BFS generation at a time: the existing nodes in
+level order, then the nodes they attached, then the nodes those attached.
+When a generation starts, each of its nodes' candidates is looked up and
+filtered, and every surviving pair is scored in **one** scorer call.  The
+per-node decisions are then replayed in queue order from those scores, each
+node filtering its candidates again at its turn.
+Scoring ahead cannot change the outcome: the traversal only adds edges, and
+the filter (no self-pair, no existing edge, no cycle) rejects more, never
+fewer, as edges are added.  So a node's candidates when its turn comes are
+a subset of the pairs scored when its generation started.  The decisions
+equal a one-call-per-node loop's as long as a pair's score does not depend
+on its batch-mates.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 import numpy as np
 
-from ..taxonomy import Taxonomy, transitive_reduction
+from ..taxonomy import Taxonomy, redundant_edges
 
 __all__ = ["ExpansionConfig", "ExpansionResult", "expand_taxonomy"]
 
@@ -67,8 +79,9 @@ def expand_taxonomy(scorer: Scorer | Callable,
     candidates_by_query:
         Query concept -> item concepts observed under it in the click
         logs, or a callable ``provider(query) -> iterable of items``
-        (e.g. a retrieval index's top-k neighbours) evaluated lazily
-        per frontier node.  Unknown queries simply have no candidates.
+        (e.g. a retrieval index's top-k neighbours) called once per
+        frontier node, when its generation starts.  Repeated items
+        count once.  Unknown queries simply have no candidates.
     """
     config = config or ExpansionConfig()
     if callable(candidates_by_query):
@@ -78,42 +91,52 @@ def expand_taxonomy(scorer: Scorer | Callable,
     expanded = existing.copy()
     result = ExpansionResult(taxonomy=expanded)
 
-    # Level-order frontier; newly attached nodes are queued for the level
-    # below their parent, matching Figure 2's layer-by-layer sweep.
-    queue: deque[str] = deque()
-    queued: set[str] = set()
-    for level in existing.level_order():
-        for node in level:
-            queue.append(node)
-            queued.add(node)
+    def open_candidates(node, items):
+        return [c for c in items
+                if c != node
+                and not expanded.has_edge(node, c)
+                and not expanded.is_ancestor(c, node)]
 
-    while queue:
-        node = queue.popleft()
-        candidates = [c for c in lookup(node)
-                      if c != node
-                      and not expanded.has_edge(node, c)
-                      and not expanded.is_ancestor(c, node)]
-        if not candidates:
-            continue
-        pairs = [(node, c) for c in candidates]
-        probs = np.asarray(scorer(pairs), dtype=np.float64)
-        ranked = sorted(zip(candidates, probs), key=lambda x: (-x[1], x[0]))
-        attached = 0
-        for candidate, prob in ranked:
-            result.scored_pairs[(node, candidate)] = float(prob)
-            if prob < config.threshold:
-                continue
-            if attached >= config.max_children_per_node:
-                break
-            if expanded.is_ancestor(candidate, node):
-                continue  # attaching would create a cycle
-            expanded.add_edge(node, candidate)
-            result.attached_edges.append((node, candidate))
-            attached += 1
-            if candidate not in queued:
-                queue.append(candidate)
-                queued.add(candidate)
+    # Level-order frontier, one generation at a time: the existing nodes,
+    # then the nodes each generation attached, matching Figure 2's
+    # layer-by-layer sweep.  dict.fromkeys drops repeated candidates.
+    generation = [node for level in existing.level_order() for node in level]
+    queued = set(generation)
+    while generation:
+        pending = []
+        for node in generation:
+            candidates = open_candidates(node, dict.fromkeys(lookup(node)))
+            if candidates:
+                pending.append((node, candidates))
+        pairs = [(node, c) for node, candidates in pending
+                 for c in candidates]
+        scores = {}
+        if pairs:
+            probs = np.asarray(scorer(pairs), dtype=np.float64)
+            scores = dict(zip(pairs, probs))
+        generation = []
+        for node, candidates in pending:
+            # earlier nodes' attachments may have closed some candidates
+            candidates = open_candidates(node, candidates)
+            ranked = sorted(((c, scores[(node, c)]) for c in candidates),
+                            key=lambda x: (-x[1], x[0]))
+            attached = 0
+            for candidate, prob in ranked:
+                result.scored_pairs[(node, candidate)] = float(prob)
+                if prob < config.threshold:
+                    continue
+                if attached >= config.max_children_per_node:
+                    break
+                if expanded.is_ancestor(candidate, node):
+                    continue  # attaching would create a cycle
+                expanded.add_edge(node, candidate)
+                result.attached_edges.append((node, candidate))
+                attached += 1
+                if candidate not in queued:
+                    generation.append(candidate)
+                    queued.add(candidate)
 
     if config.prune_transitive:
-        result.taxonomy = transitive_reduction(expanded)
+        for parent, child in redundant_edges(expanded):
+            expanded.remove_edge(parent, child)
     return result

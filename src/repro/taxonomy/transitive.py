@@ -13,17 +13,26 @@ __all__ = ["redundant_edges", "transitive_reduction"]
 
 
 def redundant_edges(taxonomy: Taxonomy) -> set[tuple[str, str]]:
-    """Edges ``(a, c)`` for which another path ``a -> ... -> c`` exists."""
+    """Edges ``(a, c)`` for which another path ``a -> ... -> c`` exists.
+
+    Such a path has length >= 2, so its last edge comes from another
+    parent ``p`` of ``c``, and ``a`` is an ancestor of ``p``.  Conversely,
+    ``a -> ... -> p -> c`` is such a path for any ancestor ``a`` of another
+    parent ``p``.  So only nodes with two or more parents can end a
+    redundant edge, and a parent of ``c`` is redundant exactly when it is
+    an ancestor of the parent set.  The cost is one upward walk per
+    multi-parent node, over the ancestors of its parents; single-parent
+    nodes, most of a taxonomy, cost one set copy each.
+    """
     redundant: set[tuple[str, str]] = set()
-    for parent, child in taxonomy.edges():
-        for mid in taxonomy.children(parent):
-            if mid == child:
-                continue
-            if mid == parent:  # pragma: no cover - impossible, no self loops
-                continue
-            if taxonomy.is_ancestor(mid, child):
-                redundant.add((parent, child))
-                break
+    for child in taxonomy.nodes:
+        parents = taxonomy.parents(child)
+        if len(parents) < 2:
+            continue
+        above: set[str] = set()
+        for parent in parents:
+            above |= taxonomy.ancestors(parent)
+        redundant.update((parent, child) for parent in parents & above)
     return redundant
 
 

@@ -1,17 +1,21 @@
 """Edge classifier, hyponymy detector, and top-down expansion tests."""
 
+import zlib
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     DetectorConfig, EdgeClassifier, ExpansionConfig, HyponymyDetector,
-    LabeledPair, expand_taxonomy,
+    LabeledPair, candidate_map, expand_taxonomy,
 )
 from repro.gnn import StructuralConfig, StructuralEncoder
 from repro.graph import HeteroGraph
 from repro.nn import Tensor
 from repro.plm import BertConfig, MiniBert, RelationalEncoder, WordTokenizer
-from repro.taxonomy import Taxonomy
+from repro.taxonomy import Taxonomy, transitive_reduction
 
 
 @pytest.fixture()
@@ -223,3 +227,145 @@ class TestExpansion:
         edges_before = existing.edge_set()
         expand_taxonomy(OracleScorer(truth), existing, {"bread": ["toast"]})
         assert existing.edge_set() == edges_before
+
+    def test_duplicate_candidates_count_once(self, existing):
+        eager = lambda pairs: np.ones(len(pairs))
+        result = expand_taxonomy(eager, existing, {"bread": ["a", "a", "b"]},
+                                 ExpansionConfig(max_children_per_node=2))
+        assert result.attached_edges == [("bread", "a"), ("bread", "b")]
+        assert result.num_attached == 2
+        result = expand_taxonomy(eager, existing,
+                                 {"bread": ["toast", "toast"]})
+        assert result.attached_edges == [("bread", "toast")]
+
+    @pytest.mark.parametrize("candidates,calls", [
+        ({"bread": ["toast"], "toast": ["honey toast"]},
+         [[("bread", "toast")], [("toast", "honey toast")]]),
+        ({"bread": ["toast", "soup"], "soup": ["toast"],
+          "toast": ["honey toast"]},
+         [[("bread", "toast"), ("bread", "soup"), ("soup", "toast")],
+          [("toast", "honey toast")]]),
+    ])
+    def test_one_scorer_call_per_generation(self, truth, existing,
+                                            candidates, calls):
+        oracle = OracleScorer(truth)
+        seen = []
+
+        def recording(pairs):
+            seen.append(list(pairs))
+            return oracle(pairs)
+
+        expand_taxonomy(recording, existing, candidates)
+        assert seen == calls
+
+    def test_callable_provider_called_once_per_node(self, truth, existing):
+        candidates = {"bread": ["toast"], "toast": ["honey toast"]}
+        asked = []
+
+        def provider(node):
+            asked.append(node)
+            return candidates.get(node, ())
+
+        expand_taxonomy(OracleScorer(truth), existing, provider)
+        assert asked == ["food", "bread", "soup", "toast", "honey toast"]
+
+
+def per_node_expansion(scorer, existing, candidates_by_query, config):
+    """Reference: one scorer call per frontier node, in queue order.
+
+    The sequential loop that generation batching replays, with repeated
+    candidates dropped.  Returns (attached edges, scored pairs, final
+    edge set).
+    """
+    expanded = existing.copy()
+    attached_edges, scored_pairs = [], {}
+    queue = deque(node for level in existing.level_order() for node in level)
+    queued = set(queue)
+    while queue:
+        node = queue.popleft()
+        items = dict.fromkeys(candidates_by_query.get(node, ()))
+        candidates = [c for c in items
+                      if c != node
+                      and not expanded.has_edge(node, c)
+                      and not expanded.is_ancestor(c, node)]
+        if not candidates:
+            continue
+        probs = np.asarray(scorer([(node, c) for c in candidates]),
+                           dtype=np.float64)
+        ranked = sorted(zip(candidates, probs), key=lambda x: (-x[1], x[0]))
+        attached = 0
+        for candidate, prob in ranked:
+            scored_pairs[(node, candidate)] = float(prob)
+            if prob < config.threshold:
+                continue
+            if attached >= config.max_children_per_node:
+                break
+            if expanded.is_ancestor(candidate, node):
+                continue
+            expanded.add_edge(node, candidate)
+            attached_edges.append((node, candidate))
+            attached += 1
+            if candidate not in queued:
+                queue.append(candidate)
+                queued.add(candidate)
+    if config.prune_transitive:
+        expanded = transitive_reduction(expanded)
+    return attached_edges, scored_pairs, expanded.edge_set()
+
+
+def crc_scorer(pairs):
+    """A batch-invariant scorer: each pair's probability is its crc32."""
+    return np.array([zlib.crc32(f"{query}\0{item}".encode()) / 2 ** 32
+                     for query, item in pairs])
+
+
+@st.composite
+def expansion_cases(draw):
+    """A random DAG, a candidate map over its nodes and new concepts
+    (self- and cycle-inducing candidates included), and a config."""
+    n = draw(st.integers(1, 8))
+    label = [f"n{i}" for i in draw(st.permutations(range(n)))]
+    ranks = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ranks, ranks), max_size=2 * n))
+    existing = Taxonomy(nodes=label, edges=[(label[a], label[b])
+                                            for a, b in edges if a < b])
+    concepts = st.sampled_from(label + ["x0", "x1", "x2", "x3"])
+    candidates = draw(st.dictionaries(concepts, st.lists(concepts,
+                                                         max_size=6)))
+    config = ExpansionConfig(
+        threshold=draw(st.sampled_from([0.0, 0.25, 0.5, 0.9])),
+        max_children_per_node=draw(st.integers(1, 4)),
+        prune_transitive=draw(st.booleans()))
+    return existing, candidates, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(expansion_cases())
+def test_generation_batching_matches_per_node_loop_property(case):
+    existing, candidates, config = case
+    attached, scored, edges = per_node_expansion(crc_scorer, existing,
+                                                 candidates, config)
+    result = expand_taxonomy(crc_scorer, existing, candidates, config)
+    assert result.attached_edges == attached
+    assert result.scored_pairs == scored
+    assert result.taxonomy.edge_set() == edges
+
+
+@pytest.mark.parametrize("threshold,cap", [(0.28, 200), (0.0, 2)])
+def test_generation_batching_matches_per_node_loop_fitted(
+        tiny_fitted_pipeline, small_world, small_click_log, threshold, cap):
+    """The same equality with the fitted engine as the scorer.
+
+    Observed, not guaranteed: a pair's float32 score can move in the last
+    bits with its batch-mates, and so could a threshold comparison.
+    """
+    config = ExpansionConfig(threshold=threshold, max_children_per_node=cap)
+    candidates = candidate_map(small_click_log, small_world.vocabulary)
+    scorer = tiny_fitted_pipeline.score_pairs
+    existing = small_world.existing_taxonomy
+    attached, scored, edges = per_node_expansion(scorer, existing,
+                                                 candidates, config)
+    result = expand_taxonomy(scorer, existing, candidates, config)
+    assert attached and result.attached_edges == attached
+    assert result.scored_pairs == pytest.approx(scored, abs=1e-6)
+    assert result.taxonomy.edge_set() == edges

@@ -203,3 +203,35 @@ def test_taxonomy_acyclic_invariant_property(pairs):
     # level_order covers every node exactly once
     seen = [n for level in t.level_order() for n in level]
     assert sorted(seen) == sorted(t.nodes)
+
+
+def sibling_redundant_edges(taxonomy):
+    """Reference: ``(a, c)`` is redundant when another child of ``a``
+    reaches ``c`` (a descendant walk per edge and sibling)."""
+    return {(parent, child) for parent, child in taxonomy.edges()
+            if any(mid != child and taxonomy.is_ancestor(mid, child)
+                   for mid in taxonomy.children(parent))}
+
+
+@st.composite
+def random_dags(draw):
+    """A DAG over shuffled labels: edges run from lower to higher rank."""
+    n = draw(st.integers(1, 12))
+    label = [f"n{i}" for i in draw(st.permutations(range(n)))]
+    ranks = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ranks, ranks), max_size=3 * n))
+    return Taxonomy(nodes=label, edges=[(label[a], label[b])
+                                        for a, b in edges if a < b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_dags())
+def test_pruning_matches_sibling_definition_property(t):
+    """The parent rule finds the same edges as the sibling walk, and the
+    reduction keeps reachability while leaving nothing redundant."""
+    assert redundant_edges(t) == sibling_redundant_edges(t)
+    reduced = transitive_reduction(t)
+    for a in t.nodes:
+        for b in t.nodes:
+            assert reduced.is_ancestor(a, b) == t.is_ancestor(a, b)
+    assert not sibling_redundant_edges(reduced)
