@@ -8,7 +8,7 @@ compares
 
 * **naive**: one ``score_pairs`` call per pair (the pre-serving cost
   model — every request pays full per-call encoder overhead),
-* **batched**: a :class:`BatchingScorer` in synchronous mode (each
+* **batched**: a :class:`BatchingScorer` called from one thread (each
   request's misses scored in one model call, hits served from the LRU
   cache).
 
@@ -127,8 +127,7 @@ def run_client_overhead() -> dict:
     directory = tempfile.mkdtemp(prefix="bench_client_")
     ArtifactBundle.export(pipeline, directory)
     service = TaxonomyService(ArtifactBundle.load(directory),
-                              ServiceConfig(max_wait_ms=0.5,
-                                            cache_size=65536))
+                              ServiceConfig(cache_size=65536))
     service.start()
     server = AsyncServerThread(service)
     host, port = server.start()
@@ -285,7 +284,7 @@ def run_concurrency(connections: int = 32, duration: float = 2.0) -> dict:
     ArtifactBundle.export(pipeline, directory)
     service = TaxonomyService(
         ArtifactBundle.load(directory),
-        ServiceConfig(max_wait_ms=0.5, cache_size=0))
+        ServiceConfig(cache_size=0))
     service.start()
     server = AsyncServerThread(
         service, port=0, max_inflight=2, heavy_workers=2,

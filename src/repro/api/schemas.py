@@ -627,7 +627,7 @@ class HealthResponse(SchemaModel):
         Field("reloads", "integer", required=True,
               doc="Successful hot reloads."),
         Field("workers", "object", required=True,
-              doc="Per-worker liveness (scorer, ingestor, pool)."),
+              doc="Per-worker liveness (ingestor, pool)."),
         Field("ingest", "object", required=True,
               doc="Ingest queue depth and totals."),
         Field("scorer", "object", required=True,

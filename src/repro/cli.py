@@ -178,8 +178,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = TaxonomyService(
         bundle,
         ServiceConfig(
-            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            cache_size=args.cache_size,
+            max_batch=args.max_batch, cache_size=args.cache_size,
             max_ingest_queue=args.max_ingest_queue,
             snapshot_every_records=args.snapshot_every,
             snapshot_interval_seconds=args.snapshot_interval),
@@ -388,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="pairs at which coalescing stops; a "
                                    "request with this many cache misses "
                                    "skips the queue")
-    serve_parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                              help="micro-batching window")
     serve_parser.add_argument("--cache-size", type=int, default=4096,
                               help="LRU score-cache entries (0 disables)")
     serve_parser.add_argument("--max-ingest-queue", type=int, default=16,

@@ -200,9 +200,9 @@ class InferenceEngine:
         self.stats = EngineStats(dtype=str(self.dtype))
         self.score_tolerance = SCORE_TOLERANCE
         # The compiled encoder reuses scratch buffers across calls, so
-        # scoring is serialised: concurrent callers (e.g. synchronous
-        # BatchingScorer fallback on several HTTP threads) must not
-        # interleave writes into the shared workspace.
+        # scoring is serialised: concurrent callers (a BatchingScorer
+        # leader and batch-filling requests, each on its caller's own
+        # thread) must not interleave writes into the shared workspace.
         self._lock = threading.RLock()
 
         relational = detector.relational

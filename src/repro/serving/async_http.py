@@ -28,7 +28,9 @@ envelope and ``/v1/openapi.json`` — on a single
   plain ASCII digits, repeats with differing values, or arrives with
   any ``Transfer-Encoding`` is answered ``400`` and the connection
   closed (RFC 9112 §6.3), so a proxy in front can never see a different
-  request boundary than this server,
+  request boundary than this server; so is a request with a malformed
+  header field line or without exactly one ``Host`` field (see
+  :func:`_parse_fields`),
 * **graceful drain** — :meth:`AsyncTaxonomyServer.drain` stops
   accepting, closes idle keep-alive connections, lets in-flight
   requests finish up to a deadline, then closes; ``serve_async`` wires
@@ -43,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
+import re
 import signal
 import threading
 import time
@@ -76,6 +79,37 @@ _JOB_POLL_FALLBACK = 0.5
 
 #: upper bound on one long-poll hold; clients re-issue to wait longer
 _MAX_JOB_WAIT = 30.0
+
+
+#: a header field line: a token name, a colon, then a value with no NUL,
+#: CR or LF (RFC 9110 §5.1, §5.5)
+_FIELD_LINE = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+:[^\0\r\n]*")
+
+
+def _parse_fields(header_text: str) -> tuple[dict, set]:
+    """Header fields by lowercased name, plus every ``Content-Length``.
+
+    Raises ``400 invalid_request`` for a line that does not match
+    :data:`_FIELD_LINE` — no colon, whitespace before the colon, an
+    obs-fold continuation line (RFC 9112 §5.1, §5.2) or a NUL, CR or LF
+    in the value (RFC 9110 §5.5) — and unless exactly one ``Host`` field
+    is present (RFC 9112 §3.2).
+    """
+    headers, lengths, hosts = {}, set(), 0
+    for line in header_text.split("\r\n") if header_text else ():
+        if _FIELD_LINE.fullmatch(line) is None:
+            raise api_errors.invalid_request("malformed header field line")
+        name, _, value = line.partition(":")
+        name, value = name.lower(), value.strip(" \t")
+        headers[name] = value
+        if name == "content-length":
+            lengths.add(value)
+        elif name == "host":
+            hosts += 1
+    if hosts != 1:
+        raise api_errors.invalid_request(
+            "a request needs exactly one Host header")
+    return headers, lengths
 
 
 def _content_length(headers: dict, lengths: set) -> int:
@@ -321,8 +355,9 @@ class AsyncTaxonomyServer:
         (silent close — an idle keep-alive connection is normal) and
         ``read_timeout`` once a request has started (408 — the client
         is trickling; this is the slow-loris guard).  Ambiguous framing
-        is rejected 400 and oversized bodies 413, both from the headers
-        alone, before any body byte is read.
+        and malformed header fields are rejected 400 and oversized
+        bodies 413, all from the headers alone, before any body byte is
+        read.
         """
         try:
             first = await asyncio.wait_for(reader.read(1),
@@ -344,7 +379,7 @@ class AsyncTaxonomyServer:
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             return None  # connection died or headers overran the cap
         try:
-            head = (first + rest).decode("latin-1")
+            head = (first + rest)[:-4].decode("latin-1")
             request_line, _, header_text = head.partition("\r\n")
             method, path, _version = request_line.split(" ", 2)
         except ValueError:
@@ -352,17 +387,9 @@ class AsyncTaxonomyServer:
                 writer,
                 api_errors.invalid_request("malformed request line"))
             return None
-        headers = {}
-        lengths = set()
-        for line in header_text.split("\r\n"):
-            if ":" in line:
-                name, _, value = line.partition(":")
-                name, value = name.strip().lower(), value.strip()
-                headers[name] = value
-                if name == "content-length":
-                    lengths.add(value)
         path, _, query = path.partition("?")
         try:
+            headers, lengths = _parse_fields(header_text)
             length = _content_length(headers, lengths)
         except ApiError as error:
             await self._write_simple_error(writer, error)

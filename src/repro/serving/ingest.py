@@ -202,9 +202,8 @@ class StreamingIngestor:
         by backpressure.
 
         Without a running worker the batch is processed inline
-        (synchronous degradation, mirroring
-        :class:`~repro.serving.BatchingScorer`); the returned ticket is
-        already resolved.
+        (synchronous degradation); the returned ticket is already
+        resolved.
         """
         if not isinstance(batch, ClickLog):
             raise TypeError("submit expects a ClickLog")

@@ -7,29 +7,31 @@ requests overlap heavily.  :class:`BatchingScorer` wraps any
 ``HyponymyDetector.predict_proba`` via ``pipeline.score_pairs``) with
 
 * an **LRU score cache** keyed on the (parent, child) pair, and
-* **micro-batching**: when the worker is running, small requests queued
-  within ``max_wait_ms`` of each other are coalesced into one underlying
-  model call, amortising per-call encoder overhead across clients.  A
-  batch stops taking requests once it holds ``max_batch`` pairs.
+* **group commit**: small requests queue, and the first caller to find
+  no batch running becomes the *leader*.  It scores the queue head plus
+  whatever else queued behind it, up to ``max_batch`` pairs, in one
+  underlying model call, then hands leadership to the new queue head
+  (or marks the scorer idle).  Requests that arrive while a batch runs
+  therefore coalesce into the next one, amortising per-call encoder
+  overhead across clients, while a request that finds the scorer idle
+  is scored at once: there is no waiting window and no thread.
 
 A request whose cache misses alone reach ``max_batch`` has nothing to
 gain from coalescing: it skips the queue and makes its one underlying
-call on the caller's thread, so concurrent large requests run side by
-side (a worker pool sees all of them at once) instead of one at a time
-behind the coalescing thread.  The backend chunks by its own limits
+call on its own thread, so concurrent large requests run side by side
+(a worker pool sees all of them at once) instead of one at a time
+behind the leader.  The backend chunks by its own limits
 (:class:`~repro.infer.InferenceEngine` by its ``max_batch``, the autograd
 path by its ``batch_size``).
 
-Without :meth:`start` every request takes that synchronous path (one
-underlying call per request), so the scorer can stand in for the raw
-scorer anywhere — including inside
-:class:`~repro.core.IncrementalExpander`.
+Every backend call runs on a thread that called :meth:`score_pairs`,
+so the scorer needs no lifecycle and stands in for the raw scorer
+anywhere — including inside :class:`~repro.core.IncrementalExpander`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 
@@ -53,7 +55,6 @@ class ScorerStats:
     model_calls: int = 0
     batches: int = 0
     coalesced_requests: int = 0
-    worker_failures: int = 0
 
     def as_dict(self) -> dict[str, int | float]:
         """JSON-friendly snapshot including the derived hit rate."""
@@ -68,20 +69,24 @@ class ScorerStats:
             "model_calls": self.model_calls,
             "batches": self.batches,
             "coalesced_requests": self.coalesced_requests,
-            "worker_failures": self.worker_failures,
         }
 
 
 class _Request:
-    """One caller's pending cache misses plus its completion signal."""
+    """One caller's pending cache misses plus its wake-up signal.
 
-    __slots__ = ("pairs", "event", "scores", "error")
+    ``event`` is set once the request is resolved (``scores`` or
+    ``error`` set) or made leader (``leads`` set), whichever comes first.
+    """
+
+    __slots__ = ("pairs", "event", "scores", "error", "leads")
 
     def __init__(self, pairs: list[Pair]):
         self.pairs = pairs
         self.event = threading.Event()
         self.scores: dict[Pair, float] = {}
         self.error: BaseException | None = None
+        self.leads = False
 
 
 class BatchingScorer:
@@ -93,74 +98,32 @@ class BatchingScorer:
         Underlying callable mapping ``list[(parent, child)]`` to an array
         of positive-class probabilities.
     max_batch:
-        Coalescing cap: the worker stops adding queued requests to a
-        batch once it holds this many pairs.  A request with at least
-        this many cache misses skips the queue and is scored in one call
-        on the caller's thread.
-    max_wait_ms:
-        How long the worker waits for more requests to coalesce after the
-        first one arrives (ignored in synchronous mode).
+        Coalescing cap: a leader stops adding queued requests to its
+        batch before it would exceed this many pairs.  A request with at
+        least this many cache misses skips the queue and is scored in one
+        call on its own thread.
     cache_size:
         Maximum number of cached pair scores; 0 disables caching.
     """
 
-    def __init__(self, scorer, max_batch: int = 64,
-                 max_wait_ms: float = 2.0, cache_size: int = 4096):
+    def __init__(self, scorer, max_batch: int = 64, cache_size: int = 4096):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
         self._scorer = scorer
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.cache_size = cache_size
         self._cache: OrderedDict[Pair, float] = OrderedDict()  # guarded-by: self._lock
         # Bumped by swap_scorer: batches started under an older epoch
         # must not write their (old-model) scores into the new cache.
         self._epoch = 0  # guarded-by: self._lock
         self._queue: deque[_Request] = deque()  # guarded-by: self._lock
+        # True from the moment a caller becomes leader until the last
+        # leader finds the queue empty; while False the queue is empty.
+        self._leading = False  # guarded-by: self._lock
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
         self._stats = ScorerStats()  # guarded-by: self._lock
-        self._worker: threading.Thread | None = None  # guarded-by: self._lock
-        self._stopping = False  # guarded-by: self._lock
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "BatchingScorer":
-        """Launch the coalescing worker; idempotent."""
-        with self._lock:
-            if self._worker is not None and self._worker.is_alive():
-                return self
-            self._stopping = False
-            self._worker = threading.Thread(
-                target=self._run, name="batching-scorer", daemon=True)
-            self._worker.start()
-        return self
-
-    def stop(self, timeout: float | None = 5.0) -> None:
-        """Drain the queue and stop the worker; idempotent."""
-        with self._lock:
-            worker = self._worker
-            self._stopping = True
-            self._wakeup.notify_all()
-        if worker is not None:
-            worker.join(timeout)
-        with self._lock:
-            self._worker = None
-
-    @property
-    def running(self) -> bool:
-        """True while the coalescing worker is alive."""
-        worker = self._worker
-        return worker is not None and worker.is_alive()
-
-    def __enter__(self) -> "BatchingScorer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     # scoring
@@ -171,6 +134,7 @@ class BatchingScorer:
         if not pairs:
             return np.zeros(0)
         resolved: dict[Pair, float] = {}
+        request = None
         with self._lock:
             self._stats.requests += 1
             self._stats.pairs_requested += len(pairs)
@@ -182,22 +146,22 @@ class BatchingScorer:
                 else:
                     self._stats.cache_hits += 1
                     resolved[pair] = value
-            if 0 < len(missing) < self.max_batch and self.running and \
-                    not self._stopping and \
-                    threading.current_thread() is not self._worker:
+            if 0 < len(missing) < self.max_batch:
                 request = _Request(missing)
                 self._queue.append(request)
-                self._wakeup.notify_all()
-            else:
-                request = None
-        if missing and request is None:
-            # Synchronous path: one backend call on the caller's thread.
-            resolved.update(self._score_batch(missing, coalesced=1))
-        elif missing:
+                if not self._leading:
+                    self._leading = request.leads = True
+                    request.event.set()
+        if request is not None:
             request.event.wait()
+            if request.leads:
+                self._lead()
             if request.error is not None:
                 raise request.error
             resolved.update(request.scores)
+        elif missing:
+            # A batch-filling request: one backend call on this thread.
+            resolved.update(self._score_batch(missing, coalesced=1))
         return np.asarray([resolved[pair] for pair in pairs])
 
     def __call__(self, pairs: list[Pair]) -> np.ndarray:
@@ -321,94 +285,63 @@ class BatchingScorer:
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
 
-    def _collect(self) -> list[_Request]:
-        """Pop a coalescable set of requests; blocks until work or stop.
+    def _lead(self) -> None:
+        """Score one batch from the queue head, then pass leadership on.
 
-        Returns an empty list only when stopping with an empty queue.
+        The leader's own request is the queue head, so each caller leads
+        at most one batch.  Requests behind the head join it while the
+        batch stays within ``max_batch`` pairs.  Whatever happens, the
+        ``finally`` wakes the new queue head as the next leader or marks
+        the scorer idle, so no queued request is left without one.
         """
-        with self._lock:
-            while not self._queue and not self._stopping:
-                self._wakeup.wait()
-            if not self._queue:
-                return []
-            batch = [self._queue.popleft()]
-            count = len(batch[0].pairs)
-            deadline = time.monotonic() + self.max_wait_ms / 1000.0
-            while count < self.max_batch:
-                if self._queue:
-                    count += len(self._queue[0].pairs)
-                    batch.append(self._queue.popleft())
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stopping:
-                    break
-                self._wakeup.wait(remaining)
-            return batch
-
-    def _run(self) -> None:
-        """Worker loop.  A per-batch scoring failure propagates to that
-        batch's waiters and the loop continues; anything that escapes the
-        per-batch handling (a genuine worker-thread death) must never
-        strand queued requests — :meth:`_fail_worker` resolves every
-        waiter with the fatal error and flips the scorer back to the
-        synchronous path."""
-        batch: list[_Request] = []
         try:
-            while True:
-                batch = self._collect()
-                if not batch:
-                    return
-                self._process_batch(batch)
-                batch = []
-        except BaseException as error:
-            self._fail_worker(batch, error)
+            with self._lock:
+                batch = [self._queue.popleft()]
+                size = len(batch[0].pairs)
+                while self._queue and \
+                        size + len(self._queue[0].pairs) <= self.max_batch:
+                    size += len(self._queue[0].pairs)
+                    batch.append(self._queue.popleft())
+            self._process_batch(batch)
+        finally:
+            with self._lock:
+                if self._queue:
+                    self._queue[0].leads = True
+                    self._queue[0].event.set()
+                else:
+                    self._leading = False
 
     def _process_batch(self, batch: list[_Request]) -> None:
-        """Score one coalesced batch and resolve its requests."""
-        # Dedup across coalesced requests; re-check the cache in case a
-        # concurrent batch already scored some of these pairs.
-        unique = list(dict.fromkeys(
-            pair for request in batch for pair in request.pairs))
-        known: dict[Pair, float] = {}
-        with self._lock:
-            to_score = []
-            for pair in unique:
-                value = self._cache_get(pair)
-                if value is _MISSING:
-                    to_score.append(pair)
-                else:
-                    known[pair] = value
+        """Score one coalesced batch and resolve its requests.
+
+        An exception of any kind resolves every request in the batch
+        with that error, so none of their callers waits forever, and is
+        re-raised to the leader.
+        """
         try:
+            # Dedup across coalesced requests; re-check the cache in case
+            # a concurrent batch already scored some of these pairs.
+            unique = list(dict.fromkeys(
+                pair for request in batch for pair in request.pairs))
+            known: dict[Pair, float] = {}
+            with self._lock:
+                to_score = []
+                for pair in unique:
+                    value = self._cache_get(pair)
+                    if value is _MISSING:
+                        to_score.append(pair)
+                    else:
+                        known[pair] = value
             if to_score:
                 known.update(self._score_batch(
                     to_score, coalesced=len(batch)))
-        except Exception as error:  # propagate to every waiter
+            for request in batch:
+                request.scores = {pair: known[pair]
+                                  for pair in request.pairs}
+        except BaseException as error:  # propagate to every waiter
             for request in batch:
                 request.error = error
-                request.event.set()
-            return
-        for request in batch:
-            request.scores = {pair: known[pair]
-                              for pair in request.pairs}
-            request.event.set()
-
-    def _fail_worker(self, batch: list[_Request],
-                     error: BaseException) -> None:
-        """The worker thread is dying: propagate ``error`` everywhere.
-
-        Every queued request (and the batch being collected, if any) is
-        resolved with the fatal error so no caller blocks forever, the
-        ``worker_failures`` counter records the event for ``/metrics``,
-        and the worker handle is cleared so subsequent calls degrade to
-        the synchronous path until :meth:`start` is called again.
-        """
-        with self._lock:
-            stranded = list(batch)
-            while self._queue:
-                stranded.append(self._queue.popleft())
-            self._stats.worker_failures += 1
-            self._worker = None
-        for request in stranded:
-            if not request.event.is_set():
-                request.error = error
+            raise
+        finally:
+            for request in batch:
                 request.event.set()

@@ -63,7 +63,6 @@ class ServiceConfig:
     """Operational knobs for one service instance."""
 
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     cache_size: int = 4096
     max_ingest_queue: int = 16
     #: pairs sampled from the incoming bundle's taxonomy for the
@@ -144,7 +143,6 @@ class TaxonomyService:
         self.scorer = BatchingScorer(
             backend,
             max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
             cache_size=self.config.cache_size)
         # One lock serialises every taxonomy writer: the ingest worker and
         # synchronous /expand requests.
@@ -200,12 +198,11 @@ class TaxonomyService:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "TaxonomyService":
-        """Start the scoring, ingestion and job workers; idempotent.
+        """Start the ingestion and job workers; idempotent.
 
         Also starts the snapshot scheduler when a snapshot store is
         attached and any scheduling knob is set.
         """
-        self.scorer.start()
         self.ingestor.start()
         self.jobs.start()
         config = self.config
@@ -235,7 +232,6 @@ class TaxonomyService:
             self._snapshot_thread = None
         self.jobs.stop()
         self.ingestor.stop()
-        self.scorer.stop()
         if self.journal is not None:
             self.journal.flush()
 
@@ -1066,10 +1062,7 @@ class TaxonomyService:
     def health(self) -> dict:
         """Liveness snapshot for ``/healthz``."""
         errors = self.ingestor.errors
-        workers = {
-            "scorer": self.scorer.running,
-            "ingestor": self.ingestor.running,
-        }
+        workers = {"ingestor": self.ingestor.running}
         if self.pool is not None:
             workers["pool"] = self.pool.running
             workers["pool_stats"] = self.pool.stats_snapshot().as_dict()
@@ -1150,9 +1143,6 @@ class TaxonomyService:
         metric("repro_scorer_coalesced_requests_total", "counter",
                "Requests coalesced into shared batches.",
                scorer.coalesced_requests)
-        metric("repro_scorer_worker_failures_total", "counter",
-               "Scorer worker-thread deaths (queued requests were failed "
-               "over, not dropped).", scorer.worker_failures)
         metric("repro_scorer_cache_entries", "gauge",
                "Pair scores currently cached.", self.scorer.cache_len())
         metric("repro_reloads_total", "counter",

@@ -14,9 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.api import TaxonomyApiError, TaxonomyClient
-from repro.serving import (
-    ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
-)
+from repro.serving import ArtifactBundle, AsyncServerThread, TaxonomyService
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +28,7 @@ def bundle_dir(tiny_fitted_pipeline, small_world, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def served(bundle_dir):
-    service = TaxonomyService(ArtifactBundle.load(bundle_dir),
-                              ServiceConfig(max_wait_ms=1.0))
+    service = TaxonomyService(ArtifactBundle.load(bundle_dir))
     service.start()
     harness = AsyncServerThread(service)
     host, port = harness.start()

@@ -34,8 +34,7 @@ def bundle_dir(tiny_fitted_pipeline, small_world, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def server(bundle_dir):
-    service = TaxonomyService(ArtifactBundle.load(bundle_dir),
-                              ServiceConfig(max_wait_ms=1.0))
+    service = TaxonomyService(ArtifactBundle.load(bundle_dir))
     service.start()
     harness = AsyncServerThread(service)
     harness.start()
@@ -279,8 +278,7 @@ class TestErrorEnvelope:
 class TestBackpressureVsNotReady:
     def test_ingest_queue_full_is_429_with_retry_after(self, bundle_dir):
         service = TaxonomyService(ArtifactBundle.load(bundle_dir),
-                                  ServiceConfig(max_wait_ms=1.0,
-                                                max_ingest_queue=2))
+                                  ServiceConfig(max_ingest_queue=2))
         service.start()
         harness = AsyncServerThread(service)
         harness.start()
@@ -309,8 +307,7 @@ class TestBackpressureVsNotReady:
 
     def test_legacy_ingest_keeps_503_on_queue_full(self, bundle_dir):
         service = TaxonomyService(ArtifactBundle.load(bundle_dir),
-                                  ServiceConfig(max_wait_ms=1.0,
-                                                max_ingest_queue=2))
+                                  ServiceConfig(max_ingest_queue=2))
         service.start()
         harness = AsyncServerThread(service)
         harness.start()
@@ -343,8 +340,7 @@ class TestBackpressureVsNotReady:
         assert int(headers["Retry-After"]) >= 1
 
     def test_unstarted_service_is_503_not_ready(self, bundle_dir):
-        service = TaxonomyService(ArtifactBundle.load(bundle_dir),
-                                  ServiceConfig(max_wait_ms=1.0))
+        service = TaxonomyService(ArtifactBundle.load(bundle_dir))
         harness = AsyncServerThread(service)
         harness.start()
         try:

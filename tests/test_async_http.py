@@ -33,7 +33,6 @@ def bundle_dir(tiny_fitted_pipeline, small_world, tmp_path_factory):
 
 
 def _make_service(bundle_dir, **config_kwargs) -> TaxonomyService:
-    config_kwargs.setdefault("max_wait_ms", 1.0)
     service = TaxonomyService(ArtifactBundle.load(bundle_dir),
                               ServiceConfig(**config_kwargs))
     service.start()
@@ -228,21 +227,34 @@ class TestTransportPathologies:
             raw = sock.recv(65536)
         assert b"400" in raw.partition(b"\r\n")[0]
 
-    @pytest.mark.parametrize("path, framing, body", [
-        ("/v1/score", "Content-Length: 2_9", _FRAMED_BODY),
-        ("/v1/score", "Content-Length: +29", _FRAMED_BODY),
+    @pytest.mark.parametrize("path, framing, body, with_host", [
+        ("/v1/score", "Content-Length: 2_9", _FRAMED_BODY, True),
+        ("/v1/score", "Content-Length: +29", _FRAMED_BODY, True),
         ("/v1/score", "Content-Length: 5\r\nContent-Length: 29",
-         _FRAMED_BODY),
+         _FRAMED_BODY, True),
         ("/v1/jobs/snapshot", "Transfer-Encoding: chunked",
-         b"2\r\n{}\r\n0\r\n\r\n"),
-    ], ids=["underscore", "plus-sign", "conflicting-repeat", "chunked"])
+         b"2\r\n{}\r\n0\r\n\r\n", True),
+        ("/v1/score", "Content-Length: 29\r\nX-Trace abc", _FRAMED_BODY,
+         True),
+        ("/v1/score", "Content-Length: 29\r\nX-Trace: a\r\n b",
+         _FRAMED_BODY, True),
+        ("/v1/score", "Content-Length : 29", _FRAMED_BODY, True),
+        ("/v1/score", "Content-Length: 29\r\nX-Trace: a\0b", _FRAMED_BODY,
+         True),
+        ("/v1/score", "Content-Length: 29", _FRAMED_BODY, False),
+        ("/v1/score", "Content-Length: 29\r\nHost: y", _FRAMED_BODY, True),
+    ], ids=["underscore", "plus-sign", "conflicting-repeat", "chunked",
+            "no-colon", "obs-fold", "space-before-colon", "nul-in-value",
+            "no-host", "two-hosts"])
     def test_ambiguous_framing_400_and_close(self, strict_server, path,
-                                             framing, body):
-        # RFC 9112 6.3: a proxy could frame these differently, so the
-        # server must refuse them and drop the connection
+                                             framing, body, with_host):
+        # RFC 9112 3.2, 5.1, 5.2 and 6.3, RFC 9110 5.5: a proxy could
+        # frame or route these differently, so the server must refuse
+        # them and drop the connection
         host, port, _service, _server = strict_server
+        host_line = "Host: x\r\n" if with_host else ""
         with socket.create_connection((host, port), timeout=5) as sock:
-            sock.sendall(f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+            sock.sendall(f"POST {path} HTTP/1.1\r\n{host_line}"
                          f"Content-Type: application/json\r\n"
                          f"{framing}\r\n\r\n".encode() + body)
             raw = b""

@@ -96,15 +96,14 @@ def live_openapi(tiny_fitted_pipeline, small_world, tmp_path_factory):
     """Start a real server and fetch its generated OpenAPI document."""
     from repro.api import TaxonomyClient
     from repro.serving import (
-        ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
+        ArtifactBundle, AsyncServerThread, TaxonomyService,
     )
 
     directory = str(tmp_path_factory.mktemp("contract_bundle"))
     ArtifactBundle.export(tiny_fitted_pipeline, directory,
                           taxonomy=small_world.existing_taxonomy,
                           vocabulary=small_world.vocabulary)
-    service = TaxonomyService(ArtifactBundle.load(directory),
-                              ServiceConfig(max_wait_ms=1.0))
+    service = TaxonomyService(ArtifactBundle.load(directory))
     service.start()
     harness = AsyncServerThread(service)
     host, port = harness.start()

@@ -23,9 +23,7 @@ from repro.retrieval import (
     CandidateIndex, CandidateRetriever, IndexConfig, row_norms,
     topk_blocked,
 )
-from repro.serving import (
-    ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
-)
+from repro.serving import ArtifactBundle, AsyncServerThread, TaxonomyService
 
 
 def naive_topk(queries, matrix, k, metric="cosine"):
@@ -285,8 +283,7 @@ def service(tiny_fitted_pipeline, small_world, tmp_path_factory):
     ArtifactBundle.export(tiny_fitted_pipeline, directory,
                           taxonomy=small_world.existing_taxonomy,
                           vocabulary=small_world.vocabulary)
-    service = TaxonomyService(ArtifactBundle.load(directory),
-                              ServiceConfig(max_wait_ms=1.0))
+    service = TaxonomyService(ArtifactBundle.load(directory))
     service.start()
     yield service
     service.stop()

@@ -11,9 +11,7 @@ import urllib.request
 
 import pytest
 
-from repro.serving import (
-    ArtifactBundle, AsyncServerThread, ServiceConfig, TaxonomyService,
-)
+from repro.serving import ArtifactBundle, AsyncServerThread, TaxonomyService
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +20,7 @@ def server(tiny_fitted_pipeline, small_world, tmp_path_factory):
     ArtifactBundle.export(tiny_fitted_pipeline, directory,
                           taxonomy=small_world.existing_taxonomy,
                           vocabulary=small_world.vocabulary)
-    service = TaxonomyService(ArtifactBundle.load(directory),
-                              ServiceConfig(max_wait_ms=1.0))
+    service = TaxonomyService(ArtifactBundle.load(directory))
     service.start()
     harness = AsyncServerThread(service)  # ephemeral port
     harness.start()
@@ -96,7 +93,7 @@ class TestHealthz:
         status, body = request(server, "/healthz")
         assert status == 200
         assert body["status"] == "ok"
-        assert body["workers"] == {"scorer": True, "ingestor": True}
+        assert body["workers"] == {"ingestor": True}
         assert body["taxonomy_edges"] > 0
 
 

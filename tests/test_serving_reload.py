@@ -3,9 +3,8 @@
 Covers the zero-downtime artifact swap (service level and over HTTP,
 including under concurrent scoring load), the smoke-test guard that
 keeps a bad bundle out, ``repro serve``'s SIGHUP reload and SIGTERM
-drain, the engine drain hook, and the BatchingScorer worker-death fix
-(queued requests must fail loudly and be counted, never silently
-dropped).
+drain, the engine drain hook, and BatchingScorer batch failures (a
+failed batch fails exactly its own requests and strands no queued one).
 """
 
 import json
@@ -22,8 +21,7 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    ArtifactBundle, AsyncServerThread, BatchingScorer, ServiceConfig,
-    TaxonomyService,
+    ArtifactBundle, AsyncServerThread, BatchingScorer, TaxonomyService,
 )
 
 
@@ -111,8 +109,7 @@ class TestServiceReload:
     def test_reload_under_concurrent_load(self, bundles, scoring_pairs):
         """No request may fail or see a non-probability mid-swap."""
         v1, v2 = bundles
-        service = TaxonomyService(ArtifactBundle.load(v1),
-                                  ServiceConfig(max_wait_ms=0.5))
+        service = TaxonomyService(ArtifactBundle.load(v1))
         service.start()
         errors: list = []
         stop = threading.Event()
@@ -147,8 +144,7 @@ class TestHTTPReload:
     @pytest.fixture()
     def server(self, bundles):
         v1, _v2 = bundles
-        service = TaxonomyService(ArtifactBundle.load(v1),
-                                  ServiceConfig(max_wait_ms=1.0))
+        service = TaxonomyService(ArtifactBundle.load(v1))
         service.start()
         harness = AsyncServerThread(service)
         harness.start()
@@ -290,57 +286,87 @@ class TestSwapEpochFence:
                                    [0.9])
 
 
+def _fail_second_batch(error):
+    """Four 2-pair requests through a scorer whose second call raises.
+
+    Request 0 leads and is held inside the backend while 1, 2 and 3
+    queue in that order; with ``max_batch=4``, requests 1 and 2 form the
+    second (failing) batch and request 3 waits for a third.  Returns the
+    scorer, each request's result or exception, the thread of each
+    caller, and the thread of each backend call in call order.
+    """
+    entered, release = threading.Event(), threading.Event()
+    calls, backend_threads = [], []
+
+    def backend(pairs):
+        calls.append(list(pairs))
+        backend_threads.append(threading.current_thread())
+        if len(calls) == 1:
+            entered.set()
+            assert release.wait(10.0)
+        if len(calls) == 2:
+            raise error
+        return np.full(len(pairs), 0.25)
+
+    scorer = BatchingScorer(backend, max_batch=4, cache_size=0)
+    requests = [[(f"p{i}", "a"), (f"p{i}", "b")] for i in range(4)]
+    outcomes, callers = {}, {}
+
+    def request(i):
+        callers[i] = threading.current_thread()
+        try:
+            outcomes[i] = scorer.score_pairs(requests[i])
+        except BaseException as failure:
+            outcomes[i] = failure
+
+    clients = [threading.Thread(target=request, args=(i,))
+               for i in range(4)]
+    clients[0].start()
+    assert entered.wait(10.0)  # the leader is held inside the backend
+    for i in (1, 2, 3):
+        clients[i].start()
+        deadline = time.monotonic() + 10.0
+        while scorer.stats_snapshot().requests < i + 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+    release.set()
+    for client in clients:
+        client.join(10.0)
+        assert not client.is_alive()  # no caller is stranded
+    assert calls == [requests[0], requests[1] + requests[2], requests[3]]
+    return scorer, outcomes, callers, backend_threads
+
+
 class TestScorerWorkerDeath:
-    """Satellite fix: a dead worker thread must not strand callers."""
+    """A fatal error in a scoring batch must not strand any caller."""
 
     def test_queued_requests_get_the_fatal_error(self):
-        scorer = BatchingScorer(lambda pairs: np.zeros(len(pairs)),
-                                cache_size=0)
-
-        def dying_collect():
-            with scorer._lock:
-                while not scorer._queue:
-                    scorer._wakeup.wait()
-            raise KeyboardInterrupt("worker thread died")
-
-        scorer._collect = dying_collect
-        scorer.start()
-        with pytest.raises(KeyboardInterrupt):
-            scorer.score_pairs([("a", "b")])
+        fatal = KeyboardInterrupt("backend died")
+        scorer, outcomes, _, _ = _fail_second_batch(fatal)
+        # both requests coalesced into the failing batch see its error...
+        assert outcomes[1] is fatal and outcomes[2] is fatal
+        # ...and the requests in the other batches do not
+        for i in (0, 3):
+            np.testing.assert_allclose(outcomes[i], [0.25, 0.25])
         stats = scorer.stats_snapshot()
-        assert stats.worker_failures == 1
-        assert "worker_failures" in stats.as_dict()
-        assert not scorer.running
+        assert (stats.model_calls, stats.coalesced_requests) == (2, 2)
 
     def test_degrades_to_synchronous_after_death(self):
-        scorer = BatchingScorer(lambda pairs: np.full(len(pairs), 0.25),
-                                cache_size=0)
-
-        def dying_collect():
-            with scorer._lock:
-                while not scorer._queue:
-                    scorer._wakeup.wait()
-            raise KeyboardInterrupt("worker thread died")
-
-        scorer._collect = dying_collect
-        scorer.start()
-        with pytest.raises(KeyboardInterrupt):
-            scorer.score_pairs([("a", "b")])
-        out = scorer.score_pairs([("a", "b"), ("c", "d")])
-        np.testing.assert_allclose(out, [0.25, 0.25])
+        scorer, _, _, backend_threads = _fail_second_batch(
+            KeyboardInterrupt("backend died"))
+        # a queued-size request and a batch-filling one both still score,
+        # each on the thread that asked
+        np.testing.assert_allclose(scorer.score_pairs([("x", "y")]), [0.25])
+        full = [(f"q{i}", "z") for i in range(4)]
+        np.testing.assert_allclose(scorer.score_pairs(full), [0.25] * 4)
+        assert backend_threads[3:] == [threading.current_thread()] * 2
 
     def test_scoring_exception_does_not_kill_worker(self):
-        calls = {"n": 0}
-
-        def flaky(pairs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise ValueError("transient scoring failure")
-            return np.zeros(len(pairs))
-
-        with BatchingScorer(flaky, cache_size=0) as scorer:
-            with pytest.raises(ValueError):
-                scorer.score_pairs([("a", "b")])
-            assert scorer.running  # per-batch failure, not worker death
-            assert scorer.score_pairs([("a", "b")]).shape == (1,)
-            assert scorer.stats_snapshot().worker_failures == 0
+        scorer, outcomes, callers, backend_threads = _fail_second_batch(
+            ValueError("transient scoring failure"))
+        assert isinstance(outcomes[1], ValueError)
+        # the request queued behind the failed batch led the next one
+        assert backend_threads[2] is callers[3]
+        np.testing.assert_allclose(outcomes[3], [0.25, 0.25])
+        np.testing.assert_allclose(scorer.score_pairs([("x", "y")]), [0.25])
+        assert scorer.stats_snapshot().model_calls == 3

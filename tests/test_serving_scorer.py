@@ -1,5 +1,6 @@
 """BatchingScorer tests: equivalence, caching, coalescing, backoff paths."""
 
+import random
 import sys
 import threading
 import time
@@ -44,6 +45,29 @@ def expected(pairs):
 
 
 PAIRS = [(f"parent {i}", f"child {i}") for i in range(20)]
+
+
+def start_threads(target, indices) -> list[threading.Thread]:
+    """One started thread per index, each running ``target(index)``."""
+    threads = [threading.Thread(target=target, args=(i,)) for i in indices]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def join_all(threads) -> None:
+    """Join every thread, failing if any of them hangs."""
+    for thread in threads:
+        thread.join(60.0)
+        assert not thread.is_alive()
+
+
+def wait_for_requests(scorer, count: int) -> None:
+    """Block until ``scorer`` has counted (and so queued) ``count`` calls."""
+    deadline = time.monotonic() + 10.0
+    while scorer.stats_snapshot().requests < count:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
 
 
 class TestStatsSnapshot:
@@ -143,38 +167,27 @@ class TestSynchronousMode:
 
 
 class TestWorkerMode:
+    """Concurrent callers: equivalence, coalescing and error paths."""
+
     def test_threaded_results_match_direct(self):
         raw = CountingScorer(delay=0.005)
-        with BatchingScorer(raw, max_wait_ms=20.0) as scorer:
-            results = {}
+        scorer = BatchingScorer(raw)
+        results = {}
 
-            def request(i):
-                mine = [(f"q{i}", f"c{j}") for j in range(4)]
-                results[i] = (mine, scorer.score_pairs(mine))
+        def request(i):
+            mine = [(f"q{i}", f"c{j}") for j in range(4)]
+            results[i] = (mine, scorer.score_pairs(mine))
 
-            threads = [threading.Thread(target=request, args=(i,))
-                       for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        join_all(start_threads(request, range(8)))
         assert len(results) == 8
         for mine, got in results.values():
             np.testing.assert_allclose(got, expected(mine))
 
     def test_concurrent_requests_coalesce(self):
         raw = CountingScorer(delay=0.01)
-        with BatchingScorer(raw, max_batch=256,
-                            max_wait_ms=30.0) as scorer:
-            threads = [
-                threading.Thread(
-                    target=scorer.score_pairs,
-                    args=([(f"q{i}", f"c{j}") for j in range(3)],))
-                for i in range(10)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        scorer = BatchingScorer(raw, max_batch=256)
+        join_all(start_threads(lambda i: scorer.score_pairs(
+            [(f"q{i}", f"c{j}") for j in range(3)]), range(10)))
         assert len(raw.calls) < 10  # fewer model calls than requests
         assert scorer.stats.coalesced_requests >= scorer.stats.batches
 
@@ -182,17 +195,12 @@ class TestWorkerMode:
         raw = CountingScorer(delay=0.01)
         requests = [PAIRS[2 * i:2 * i + 2] for i in range(10)]
         results = {}
-        with BatchingScorer(raw, max_batch=8, max_wait_ms=50.0) as scorer:
-            def request(i):
-                results[i] = scorer.score_pairs(requests[i])
+        scorer = BatchingScorer(raw, max_batch=8)
 
-            threads = [threading.Thread(target=request, args=(i,))
-                       for i in range(len(requests))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
-                assert not thread.is_alive()
+        def request(i):
+            results[i] = scorer.score_pairs(requests[i])
+
+        join_all(start_threads(request, range(len(requests))))
         assert len(raw.calls) < len(requests)
         assert max(len(call) for call in raw.calls) <= 8
         for i, mine in enumerate(requests):
@@ -202,28 +210,68 @@ class TestWorkerMode:
         def explode(pairs):
             raise RuntimeError("model died")
 
-        with BatchingScorer(explode) as scorer:
-            with pytest.raises(RuntimeError, match="model died"):
-                scorer.score_pairs(PAIRS[:2])
-        # the worker survives an error and keeps serving
+        scorer = BatchingScorer(explode)
+        with pytest.raises(RuntimeError, match="model died"):
+            scorer.score_pairs(PAIRS[:2])
         assert scorer.stats.requests == 1
 
-    def test_start_stop_idempotent(self):
-        scorer = BatchingScorer(CountingScorer())
-        scorer.start()
-        scorer.start()
-        assert scorer.running
-        scorer.stop()
-        scorer.stop()
-        assert not scorer.running
 
-    def test_synchronous_fallback_after_stop(self):
+class TestCallerRuns:
+    """Batches run on the callers' own threads, with no waiting window."""
+
+    def test_backend_runs_on_caller_threads(self, tiny_fitted_pipeline,
+                                            small_world):
+        from repro.serving import ArtifactBundle, TaxonomyService
+
+        raw = CountingScorer(delay=0.002)
+        service = TaxonomyService(ArtifactBundle(
+            tiny_fitted_pipeline, small_world.existing_taxonomy,
+            small_world.vocabulary))
+        service.scorer.swap_scorer(raw)
+        callers = []
+
+        def request(i):
+            callers.append(threading.current_thread())
+            size = service.config.max_batch if i == 0 else 1 + i % 5
+            service.scorer.score_pairs(
+                [(f"q{i}", f"c{j}") for j in range(size)])
+
+        with service:  # a started service, as `repro serve` runs it
+            join_all(start_threads(request, range(8)))
+        assert raw.calls
+        assert set(raw.threads) <= set(callers)
+
+    def test_callers_queued_behind_a_held_leader_share_one_call(self):
+        entered, release = threading.Event(), threading.Event()
         raw = CountingScorer()
-        scorer = BatchingScorer(raw)
-        scorer.start()
-        scorer.stop()
-        np.testing.assert_allclose(scorer.score_pairs(PAIRS[:2]),
-                                   expected(PAIRS[:2]))
+
+        def held_first_call(pairs):
+            scores = raw(pairs)
+            if len(raw.calls) == 1:
+                entered.set()
+                assert release.wait(10.0)
+            return scores
+
+        scorer = BatchingScorer(held_first_call, max_batch=8, cache_size=0)
+        requests = [PAIRS[2 * i:2 * i + 2] for i in range(4)]
+        results = {}
+
+        def request(i):
+            results[i] = scorer.score_pairs(requests[i])
+
+        leader = start_threads(request, [0])
+        assert entered.wait(10.0)  # the leader is inside the backend
+        queued = start_threads(request, range(1, len(requests)))
+        wait_for_requests(scorer, len(requests))
+        release.set()
+        join_all(leader + queued)
+        assert raw.calls[0] == requests[0]
+        assert sorted(raw.calls[1]) == sorted(sum(requests[1:], []))
+        assert len(raw.calls) == 2
+        stats = scorer.stats_snapshot()
+        assert (stats.batches, stats.coalesced_requests) == (2, 4)
+        for i, mine in enumerate(requests):
+            np.testing.assert_allclose(results[i], expected(mine))
 
 
 class TestBatchFillingRequests:
@@ -231,8 +279,8 @@ class TestBatchFillingRequests:
 
     def test_one_call_on_the_callers_thread(self):
         raw = CountingScorer()
-        with BatchingScorer(raw, max_batch=4, max_wait_ms=5.0) as scorer:
-            got = scorer.score_pairs(PAIRS)
+        scorer = BatchingScorer(raw, max_batch=4)
+        got = scorer.score_pairs(PAIRS)
         np.testing.assert_allclose(got, expected(PAIRS))
         assert raw.calls == [PAIRS]
         assert raw.threads == [threading.current_thread()]
@@ -242,16 +290,13 @@ class TestBatchFillingRequests:
 
     def test_threshold_counts_cache_misses_not_request_size(self):
         raw = CountingScorer()
-        with BatchingScorer(raw, max_batch=4, max_wait_ms=5.0) as scorer:
-            scorer.score_pairs(PAIRS[:2])
-            # 5 pairs, 3 of them misses: below max_batch, so queued.
-            scorer.score_pairs(PAIRS[:5])
-            # exactly max_batch misses: scored on this thread
-            scorer.score_pairs(PAIRS[5:9])
-        caller = threading.current_thread()
+        scorer = BatchingScorer(raw, max_batch=4)
+        scorer.score_pairs(PAIRS[:2])
+        # 5 pairs, 3 of them misses: below max_batch, so queued.
+        scorer.score_pairs(PAIRS[:5])
+        # exactly max_batch misses: skips the queue
+        scorer.score_pairs(PAIRS[5:9])
         assert raw.calls == [PAIRS[:2], PAIRS[2:5], PAIRS[5:9]]
-        assert [thread is caller for thread in raw.threads] == \
-            [False, False, True]
 
     def test_concurrent_requests_overlap_in_the_backend(self):
         """Two batch-filling requests are inside the backend at once.
@@ -267,21 +312,15 @@ class TestBatchFillingRequests:
 
         requests = [PAIRS[:10], PAIRS[10:]]
         results, errors = {}, []
-        with BatchingScorer(rendezvous, max_batch=4,
-                            max_wait_ms=5.0) as scorer:
-            def request(i):
-                try:
-                    results[i] = scorer.score_pairs(requests[i])
-                except Exception as error:
-                    errors.append(error)
+        scorer = BatchingScorer(rendezvous, max_batch=4)
 
-            threads = [threading.Thread(target=request, args=(i,))
-                       for i in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
-                assert not thread.is_alive()
+        def request(i):
+            try:
+                results[i] = scorer.score_pairs(requests[i])
+            except Exception as error:
+                errors.append(error)
+
+        join_all(start_threads(request, range(2)))
         assert not errors
         for i, mine in enumerate(requests):
             np.testing.assert_allclose(results[i], expected(mine))
@@ -298,67 +337,77 @@ class TestBatchFillingRequests:
 
         new_model = CountingScorer()
         results = {}
-        with BatchingScorer(old_model, max_batch=4,
-                            max_wait_ms=5.0) as scorer:
-            caller = threading.Thread(target=lambda: results.setdefault(
-                "old", scorer.score_pairs(PAIRS[:8])))
-            caller.start()
-            assert entered.wait(10.0)
-            scorer.swap_scorer(new_model)
-            release.set()
-            caller.join(10.0)
-            assert not caller.is_alive()
-            # the old model's scores reach their caller but not the cache
-            np.testing.assert_array_equal(results["old"], np.zeros(8))
-            assert old_threads == [caller]
-            assert scorer.cache_len() == 0
-            np.testing.assert_allclose(scorer.score_pairs(PAIRS[:8]),
-                                       expected(PAIRS[:8]))
+        scorer = BatchingScorer(old_model, max_batch=4)
+        caller = threading.Thread(target=lambda: results.setdefault(
+            "old", scorer.score_pairs(PAIRS[:8])))
+        caller.start()
+        assert entered.wait(10.0)
+        scorer.swap_scorer(new_model)
+        release.set()
+        caller.join(10.0)
+        assert not caller.is_alive()
+        # the old model's scores reach their caller but not the cache
+        np.testing.assert_array_equal(results["old"], np.zeros(8))
+        assert old_threads == [caller]
+        assert scorer.cache_len() == 0
+        np.testing.assert_allclose(scorer.score_pairs(PAIRS[:8]),
+                                   expected(PAIRS[:8]))
         assert new_model.calls == [PAIRS[:8]]
 
     def test_mixed_concurrent_traffic_loses_no_update(self):
-        """Queued and caller-thread batches interleave; counters and the
-        cache account for every pair exactly once."""
+        """Queued and caller-thread batches interleave while a tenth of
+        backend calls fail: every caller gets its scores or the injected
+        error, and counters and the cache account for every pair."""
         raw = CountingScorer()
+        rng, rng_lock, failed_calls = random.Random(7), threading.Lock(), []
+
+        def flaky(pairs):
+            with rng_lock:
+                if rng.random() < 0.1:
+                    failed_calls.append(list(pairs))
+                    raise RuntimeError("injected failure")
+            return raw(pairs)
+
         sizes = [1, 3, 4, 9]  # two below max_batch=4, two at or above it
         clients, rounds = 6, 15
-        expected_pairs = clients * rounds * sum(sizes)
-        results, errors = [], []
+        results, failures, errors = [], [], []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with BatchingScorer(raw, max_batch=4, max_wait_ms=1.0,
-                                cache_size=expected_pairs) as scorer:
-                def client(c):
-                    try:
-                        for r in range(rounds):
-                            for size in sizes:
-                                mine = [(f"c{c} r{r} n{size}", f"child {k}")
-                                        for k in range(size)]
+            scorer = BatchingScorer(flaky, max_batch=4,
+                                    cache_size=clients * rounds * sum(sizes))
+
+            def client(c):
+                try:
+                    for r in range(rounds):
+                        for size in sizes:
+                            mine = [(f"c{c} r{r} n{size}", f"child {k}")
+                                    for k in range(size)]
+                            try:
                                 results.append(
                                     (mine, scorer.score_pairs(mine)))
-                    except Exception as error:
-                        errors.append(error)
+                            except RuntimeError as error:
+                                assert str(error) == "injected failure"
+                                failures.append(mine)
+                except Exception as error:
+                    errors.append(error)
 
-                threads = [threading.Thread(target=client, args=(c,))
-                           for c in range(clients)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(60.0)
-                    assert not thread.is_alive()
+            join_all(start_threads(client, range(clients)))
         finally:
             sys.setswitchinterval(interval)
         assert not errors
-        assert len(results) == clients * rounds * len(sizes)
+        assert failures
+        assert len(results) + len(failures) == clients * rounds * len(sizes)
         for mine, got in results:
             np.testing.assert_allclose(got, expected(mine))
+        scored_pairs = sum(len(mine) for mine, _got in results)
+        assert sum(map(len, failed_calls)) == sum(map(len, failures))
         stats = scorer.stats_snapshot()
-        assert stats.requests == len(results)
-        assert stats.pairs_scored == raw.num_pairs_scored == expected_pairs
+        assert stats.requests == len(results) + len(failures)
+        assert stats.pairs_scored == raw.num_pairs_scored == scored_pairs
         assert stats.model_calls == len(raw.calls)
         assert stats.coalesced_requests == len(results)
-        assert scorer.cache_len() == expected_pairs
+        assert scorer.cache_len() == scored_pairs
 
 
 class TestAsScorerProtocol:
