@@ -124,7 +124,6 @@ def run_bench(profile: str = "default") -> dict:
         "speedup": full_seconds / mean_frontier,
         "max_abs_embedding_delta": parity,
         "parity_tolerance": PARITY_TOLERANCE,
-        "node_dtype": engine.stats.node_dtype,
     }
 
 

@@ -106,11 +106,9 @@ def _records(base: list, count: int) -> list:
 
 def _fingerprint(service: TaxonomyService) -> tuple:
     state = service.taxonomy_state()
-    detector = service.bundle.pipeline.detector
-    engine = detector.inference_engine if detector is not None else None
-    epoch = engine.structural_epoch if engine is not None else None
     return (tuple(sorted(state["stats"].items())),
-            tuple(sorted(tuple(e) for e in state["edges"])), epoch)
+            tuple(sorted(tuple(e) for e in state["edges"])),
+            service.bundle.engine.structural_epoch)
 
 
 def _timed_cold_starts(bundle_dir: str, base: list, history: int,
@@ -182,7 +180,7 @@ def _timed_respawn(bundle_dir: str, probe: list, deltas: int) -> dict:
     """Time a SIGKILLed shared worker's return to service with the full
     cumulative delta log vs the post-compaction tail."""
     bundle = ArtifactBundle.load(bundle_dir)
-    engine = bundle.pipeline.detector.inference_engine
+    engine = bundle.engine
     parents = sorted({parent for parent, _ in probe})
 
     def kill_and_time(pool):

@@ -147,17 +147,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     # Fork scoring workers before any service thread exists (fork
-    # safety).  With sharing on (the default) the parent publishes one
-    # copy of the weights into shared-memory segments and every worker
-    # attaches it zero-copy; --no-shm (or REPRO_SHM=0) reverts to a
-    # private bundle load + compile per worker.
+    # safety).  The parent publishes one copy of the weights into
+    # shared-memory segments and every worker attaches it zero-copy (a
+    # worker that cannot attach loads the bundle privately instead).
     pool = None
     if args.workers > 1:
-        share = None if args.shm is None else args.shm
         pool = ShardedScorerPool(
             args.artifacts, num_workers=args.workers,
-            watchdog_interval=args.watchdog_interval,
-            share_memory=share, bundle=bundle)
+            watchdog_interval=args.watchdog_interval, bundle=bundle)
         pool.start()
         shm_stats = pool.shared_memory_stats()
         mode = (f"shared weights: {shm_stats['bytes']} bytes in "
@@ -401,14 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seconds between proactive pool "
                                    "liveness sweeps that respawn dead "
                                    "workers (0 disables the watchdog)")
-    serve_parser.add_argument("--shm", dest="shm", action="store_true",
-                              default=None,
-                              help="share one weight copy across pool "
-                                   "workers via shared memory (default: "
-                                   "on unless REPRO_SHM disables it)")
-    serve_parser.add_argument("--no-shm", dest="shm", action="store_false",
-                              help="give every pool worker a private "
-                                   "weight copy (disables shared memory)")
     serve_parser.add_argument("--journal-dir", default=None,
                               help="durable ingest-journal directory; "
                                    "replayed on startup to rebuild "
@@ -458,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "/v1/score (/v1/expand uses 1/8th per "
                                    "chunk)")
     serve_parser.add_argument("--quiet", action="store_true",
-                              help="suppress per-request access logs")
+                              help="accepted and ignored: the server "
+                                   "writes no per-request access log")
     serve_parser.set_defaults(func=cmd_serve)
 
     suggest_parser = sub.add_parser(

@@ -69,12 +69,10 @@ class HyponymyDetector:
         self.classifier = EdgeClassifier(in_dim, self.config.hidden_dim,
                                          rng=rng)
         self.history: list[float] = []
-        # Node embeddings are fixed once training ends; cache them across
-        # predict_proba calls (the top-down traversal makes thousands).
+        # Node embeddings are fixed between weight updates; cache them
+        # across the autograd oracle's calls (validation scores every
+        # epoch's whole split).
         self._node_cache = None
-        #: execution-path override for predict_proba: "fast" | "autograd" |
-        #: None (= process default from the REPRO_INFERENCE env var)
-        self.inference_mode: str | None = None
         self._engine = None
         self._engine_lock = threading.Lock()
 
@@ -204,23 +202,17 @@ class HyponymyDetector:
         """The compiled engine, or ``None`` if not compiled yet."""
         return self._engine
 
-    def predict_proba(self, pairs: list[tuple[str, str]],
-                      batch_size: int = 128) -> np.ndarray:
+    def predict_proba(self, pairs: list[tuple[str, str]]) -> np.ndarray:
         """Positive-class probabilities for candidate pairs.
 
-        Dispatches on :attr:`inference_mode` (falling back to the
-        ``REPRO_INFERENCE`` env default): the ``fast`` path runs the
-        vectorized float32 engine, ``autograd`` the float64 ``Tensor``
-        path.  Scores agree within the engine's documented tolerance
-        with identical rankings.  ``batch_size`` applies to the autograd
-        path only; the engine bounds peak memory by its own ``max_batch``
-        (pass one to :class:`~repro.infer.InferenceEngine` to change it).
+        Scored by the compiled float32 engine (:meth:`compile_inference`),
+        which bounds peak memory by its own ``max_batch``.  Scores agree
+        with the float64 autograd oracle (:meth:`_predict_autograd`)
+        within the engine's documented tolerance, with identical
+        rankings.
         """
-        from ..infer import MODE_FAST, resolve_inference_mode
-        if resolve_inference_mode(self.inference_mode) == MODE_FAST:
-            return self.compile_inference().score_pairs(
-                [(str(q), str(i)) for q, i in pairs])
-        return self._predict_autograd(pairs, batch_size)
+        return self.compile_inference().score_pairs(
+            [(str(q), str(i)) for q, i in pairs])
 
     def _predict_autograd(self, pairs: list[tuple[str, str]],
                           batch_size: int = 128) -> np.ndarray:

@@ -204,9 +204,8 @@ class TaxonomyExpansionPipeline:
     def score_pairs(self, pairs: list[tuple[str, str]]) -> np.ndarray:
         """Positive-class probabilities from the trained detector.
 
-        Routed through the graph-free float32 inference engine by
-        default (see :mod:`repro.infer`); set ``REPRO_INFERENCE=autograd``
-        or :meth:`set_inference_mode` to keep the float64 Tensor path.
+        Routed through the graph-free float32 inference engine (see
+        :mod:`repro.infer`).
         """
         if self.detector is None:
             raise RuntimeError("pipeline not fitted")
@@ -218,16 +217,6 @@ class TaxonomyExpansionPipeline:
         if self.detector is None:
             raise RuntimeError("pipeline not fitted")
         return self.detector.compile_inference(force=force)
-
-    def set_inference_mode(self, mode: str | None) -> None:
-        """Pin ``score_pairs`` to ``"fast"`` or ``"autograd"``
-        (``None`` restores the ``REPRO_INFERENCE`` env default)."""
-        if self.detector is None:
-            raise RuntimeError("pipeline not fitted")
-        from ..infer import resolve_inference_mode
-        if mode is not None:
-            resolve_inference_mode(mode)  # validate eagerly
-        self.detector.inference_mode = mode
 
     def expand(self, existing: Taxonomy, click_log: ClickLog,
                vocabulary: ConceptVocabulary) -> ExpansionResult:
@@ -242,14 +231,12 @@ class TaxonomyExpansionPipeline:
 
         The embedding source for the distance/TaxoExpan/TMN/STEAM
         baselines.  Routed through the compiled engine's cached concept
-        encoder on the fast path (same dispatch rules as
-        :meth:`score_pairs`); the float64 autograd encoder otherwise.
+        encoder; the float64 autograd encoder serves a pipeline whose
+        detector is not fitted yet or has no relational encoder.
         """
         if self.relational is None:
             raise RuntimeError("pipeline not fitted")
-        from ..infer import MODE_FAST, resolve_inference_mode
-        if self.detector is not None and resolve_inference_mode(
-                self.detector.inference_mode) == MODE_FAST:
+        if self.detector is not None:
             engine = self.detector.compile_inference()
             if engine.bert is not None:
                 return engine.concept_embedding_matrix(concepts, pool=pool)

@@ -3,25 +3,13 @@
 :class:`InferenceEngine` compiles a fitted
 :class:`~repro.core.HyponymyDetector` into pure-numpy float32 kernels
 (:mod:`repro.nn.inference`) and serves ``score_pairs`` without touching
-the autograd substrate.  Path selection:
-
-* ``REPRO_INFERENCE=fast`` (default) routes ``predict_proba`` /
-  ``score_pairs`` through the engine,
-* ``REPRO_INFERENCE=autograd`` keeps the float64 ``Tensor`` path (the
-  training substrate and parity oracle),
-* per-detector override via ``HyponymyDetector.inference_mode``.
+the autograd substrate.  ``predict_proba`` and every serving path score
+through it; the float64 ``Tensor`` path stays callable as
+``HyponymyDetector._predict_autograd``, the training substrate's model
+selection and the parity oracle.
 """
 
-from .engine import (
-    INFER_DTYPE_ENV, INFERENCE_ENV, MODE_AUTOGRAD, MODE_FAST, EngineStats,
-    InferenceEngine, default_inference_mode, default_node_dtype,
-    resolve_inference_mode,
-)
+from .engine import EngineStats, InferenceEngine
 from .graph import CsrSlice, DynamicGraph
 
-__all__ = [
-    "INFER_DTYPE_ENV", "INFERENCE_ENV", "MODE_AUTOGRAD", "MODE_FAST",
-    "CsrSlice", "DynamicGraph", "EngineStats", "InferenceEngine",
-    "default_inference_mode", "default_node_dtype",
-    "resolve_inference_mode",
-]
+__all__ = ["CsrSlice", "DynamicGraph", "EngineStats", "InferenceEngine"]

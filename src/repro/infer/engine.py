@@ -33,7 +33,6 @@ parameter update.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -45,70 +44,12 @@ from ..nn.inference import (
 )
 from .graph import DynamicGraph
 
-__all__ = [
-    "INFERENCE_ENV", "INFER_DTYPE_ENV", "MODE_AUTOGRAD", "MODE_FAST",
-    "EngineStats", "InferenceEngine", "default_inference_mode",
-    "default_node_dtype", "resolve_inference_mode",
-]
-
-#: environment variable selecting the scoring execution path
-INFERENCE_ENV = "REPRO_INFERENCE"
-
-#: environment variable selecting the node-matrix *storage* dtype
-#: (compute stays in the engine dtype; ``float16`` halves the resident
-#: size of the structural matrix for large taxonomies)
-INFER_DTYPE_ENV = "REPRO_INFER_DTYPE"
-
-_NODE_DTYPE_ALIASES = {
-    "float32": np.float32, "fp32": np.float32, "single": np.float32,
-    "float16": np.float16, "fp16": np.float16, "half": np.float16,
-}
+__all__ = ["EngineStats", "InferenceEngine"]
 
 #: per-concept token-id cache bound; the whole dict is dropped when
 #: exceeded (entries are tiny lists — wholesale reset is cheaper than
 #: LRU churn)
 _TOKEN_CACHE_LIMIT = 65536
-MODE_FAST = "fast"
-MODE_AUTOGRAD = "autograd"
-
-_MODE_ALIASES = {
-    "fast": MODE_FAST, "engine": MODE_FAST, "float32": MODE_FAST,
-    "autograd": MODE_AUTOGRAD, "reference": MODE_AUTOGRAD,
-    "float64": MODE_AUTOGRAD,
-}
-
-
-def default_inference_mode() -> str:
-    """The process-wide execution path from ``REPRO_INFERENCE``.
-
-    Unknown values fall back to the fast path (serving should never die
-    on a typo'd environment); ``resolve_inference_mode`` validates
-    explicit programmatic choices strictly.
-    """
-    raw = os.environ.get(INFERENCE_ENV, MODE_FAST).strip().lower()
-    return _MODE_ALIASES.get(raw, MODE_FAST)
-
-
-def resolve_inference_mode(mode: str | None) -> str:
-    """Normalise an explicit mode override; ``None`` means env default."""
-    if mode is None:
-        return default_inference_mode()
-    normalized = _MODE_ALIASES.get(mode.strip().lower())
-    if normalized is None:
-        raise ValueError(
-            f"unknown inference mode {mode!r}; expected one of "
-            f"{sorted(set(_MODE_ALIASES))}")
-    return normalized
-
-
-def default_node_dtype(fallback=np.float32) -> np.dtype:
-    """Node-matrix storage dtype from ``REPRO_INFER_DTYPE``.
-
-    Unknown values fall back to ``fallback`` (serving should never die
-    on a typo'd environment, mirroring ``default_inference_mode``).
-    """
-    raw = os.environ.get(INFER_DTYPE_ENV, "").strip().lower()
-    return np.dtype(_NODE_DTYPE_ALIASES.get(raw, fallback))
 
 
 @dataclass
@@ -121,7 +62,6 @@ class EngineStats:
     concepts_encoded: int = 0
     concept_cache_hits: int = 0
     dtype: str = "float32"
-    node_dtype: str = "float32"
     #: incremental-recompute fence: bumped once per applied delta
     structural_epoch: int = 0
     structural_nodes: int = 0
@@ -136,7 +76,6 @@ class EngineStats:
         """JSON/metrics-friendly snapshot."""
         return {
             "dtype": self.dtype,
-            "node_dtype": self.node_dtype,
             "batches": self.batches,
             "pairs_scored": self.pairs_scored,
             "sequences_encoded": self.sequences_encoded,
@@ -174,12 +113,6 @@ class InferenceEngine:
         collapse onto few distinct shapes and scratch buffers recycle.
     concept_cache_size:
         LRU capacity of the single-concept embedding cache.
-    node_dtype:
-        Storage dtype of the node-embedding matrix (``None`` reads
-        ``REPRO_INFER_DTYPE``, defaulting to the engine dtype).
-        Propagation always computes in the engine dtype; ``float16``
-        merely halves the resident matrix, trading ~1e-3 relative
-        quantisation on the structural features.
     """
 
     #: headroom rows allocated beyond the current node count so streamed
@@ -187,8 +120,7 @@ class InferenceEngine:
     _GROWTH_SLACK = 64
 
     def __init__(self, detector, dtype=np.float32, max_batch: int = 64,
-                 bucket_multiple: int = 4, concept_cache_size: int = 4096,
-                 node_dtype=None):
+                 bucket_multiple: int = 4, concept_cache_size: int = 4096):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if bucket_multiple < 1:
@@ -233,9 +165,6 @@ class InferenceEngine:
         # are read-only shared-memory views until the first mutation
         # copies them private (_materialize_structural).
         self._shared_structural = False
-        self.node_dtype = (np.dtype(node_dtype) if node_dtype is not None
-                           else default_node_dtype(self.dtype))
-        self.stats.node_dtype = str(self.node_dtype)
         if structural is not None:
             spec = structural.propagation_spec()
             self._gnn = CompiledPropagation(spec["layers"], dtype=self.dtype)
@@ -249,15 +178,14 @@ class InferenceEngine:
             self._features[:self._num_nodes] = features
             # Per-hop hidden states are retained: an incremental
             # recompute of hop k reads hop k-1 values of the frontier's
-            # neighbourhood without re-propagating the whole graph.
+            # neighbourhood without re-propagating the whole graph.  The
+            # last hop is the node-embedding matrix scoring gathers
+            # from; rows >= num_nodes stay zero, so row `num_nodes` is
+            # always the zero fallback for concepts outside the graph —
+            # even as the buffers grow in place.
             self._hidden_layers = [
                 np.zeros((capacity, layer.out_dim), dtype=self.dtype)
                 for layer in self._gnn.layers]
-            # Rows >= num_nodes stay zero, so row `num_nodes` is always
-            # the zero fallback for concepts outside the graph — even as
-            # the matrix grows in place.
-            self._node_matrix = np.zeros(
-                (capacity, self._hidden_dim), dtype=self.node_dtype)
             self.recompute_structural()
             self.stats.structural_nodes = self._num_nodes
             if structural.config.use_position:
@@ -269,8 +197,6 @@ class InferenceEngine:
                 self._position_parent = None
                 self._position_child = None
             self._structural_dim = structural.out_dim
-        else:
-            self._node_matrix = None
 
         self.classifier = CompiledClassifier(detector.classifier,
                                              dtype=self.dtype)
@@ -336,7 +262,7 @@ class InferenceEngine:
             if self.bert is not None:
                 self._encode_pair_cls(
                     pairs, out=features[:, :self._relational_dim])
-            if self._node_matrix is not None:
+            if self._graph is not None:
                 self._structural_features(
                     pairs, out=features[:, self._relational_dim:])
             return features
@@ -592,30 +518,30 @@ class InferenceEngine:
 
     def _structural_features(self, pairs: list[tuple[str, str]],
                              out: np.ndarray) -> None:
-        """Vectorized gather over the engine-propagated node matrix.
+        """Vectorized gather over the last hop's propagated embeddings.
 
         The fallback row for unknown concepts is the zero row at index
         ``num_nodes`` (rows past the live node count are never written),
         matching the autograd path's zero-embedding fallback.
         """
         q_rows, i_rows = self._pair_rows(pairs)
+        nodes = self._hidden_layers[-1]
         hidden = self._hidden_dim
         if self._position_parent is None:
-            out[:, :hidden] = self._node_matrix[q_rows]
-            out[:, hidden:] = self._node_matrix[i_rows]
+            out[:, :hidden] = nodes[q_rows]
+            out[:, hidden:] = nodes[i_rows]
             return
         position = self._position_parent.shape[0]
-        out[:, :hidden] = self._node_matrix[q_rows]
+        out[:, :hidden] = nodes[q_rows]
         out[:, hidden:hidden + position] = self._position_parent
-        out[:, hidden + position:2 * hidden + position] = \
-            self._node_matrix[i_rows]
+        out[:, hidden + position:2 * hidden + position] = nodes[i_rows]
         out[:, 2 * hidden + position:] = self._position_child
 
     # ------------------------------------------------------------------
     # GNN propagation + incremental recompute-on-ingest
     # ------------------------------------------------------------------
     def recompute_structural(self) -> int:
-        """Full K-hop propagation into the node matrix.
+        """Full K-hop propagation over every node.
 
         Returns the number of row recomputations performed (rows x
         hops).  This is the from-scratch baseline the dirty-frontier
@@ -637,7 +563,7 @@ class InferenceEngine:
         Hop 1 outputs change only for nodes whose adjacency row changed
         (``rows``); hop k+1 outputs change for those nodes plus their
         neighbourhood — so the frontier is expanded *between* hops, and
-        the final-hop frontier is exactly the set of node-matrix rows
+        the final-hop frontier is exactly the set of node-embedding rows
         that moved.  Returns ``(total rows recomputed, final frontier)``.
         Caller holds the engine lock.
         """
@@ -654,8 +580,6 @@ class InferenceEngine:
             self._hidden_layers[k][rows] = out
             total += len(rows)
             hidden_prev = self._hidden_layers[k][:count]
-        self._node_matrix[rows] = \
-            self._hidden_layers[-1][rows].astype(self.node_dtype)
         return total, rows
 
     def apply_attachments(self, edges: list[tuple[str, str]]) -> dict:
@@ -749,10 +673,10 @@ class InferenceEngine:
         as a zero embedding.  Caller holds the engine lock.
         """
         needed = num_nodes + 1
-        if self._node_matrix.shape[0] >= needed:
+        if self._features.shape[0] >= needed:
             return
         capacity = max(needed + self._GROWTH_SLACK,
-                       2 * self._node_matrix.shape[0])
+                       2 * self._features.shape[0])
 
         def grown(buffer: np.ndarray) -> np.ndarray:
             replacement = np.zeros((capacity, buffer.shape[1]),
@@ -763,7 +687,6 @@ class InferenceEngine:
         self._features = grown(self._features)
         self._hidden_layers = [grown(layer) for layer in
                                self._hidden_layers]
-        self._node_matrix = grown(self._node_matrix)
 
     def node_embedding_matrix(self) -> np.ndarray:
         """The live propagated node embeddings as float64 ``(N, hidden)``.
@@ -773,7 +696,7 @@ class InferenceEngine:
         for incremental-recompute parity.
         """
         with self._lock:
-            return np.asarray(self._node_matrix[:self._num_nodes],
+            return np.asarray(self._hidden_layers[-1][:self._num_nodes],
                               dtype=np.float64)
 
     def structural_arrays(self) -> dict:
@@ -812,7 +735,6 @@ class InferenceEngine:
             meta: dict = {
                 "engine": {
                     "dtype": self.dtype.str,
-                    "node_dtype": np.dtype(self.node_dtype).str,
                     "max_batch": self.max_batch,
                     "bucket_multiple": self.bucket_multiple,
                     "concept_cache_size": self.concept_cache_size,
@@ -850,12 +772,10 @@ class InferenceEngine:
                     "use_position": self._position_parent is not None,
                 }
                 arrays["structural.features"] = self._features[:count]
-                for k, hidden in enumerate(self._hidden_layers):
-                    arrays[f"structural.hidden{k}"] = hidden[:count]
                 # Row `count` is the zero fallback for unknown concepts;
                 # exporting it keeps the attached gather path identical.
-                arrays["structural.node_matrix"] = \
-                    self._node_matrix[:count + 1]
+                for k, hidden in enumerate(self._hidden_layers):
+                    arrays[f"structural.hidden{k}"] = hidden[:count + 1]
                 for name, slab in self._graph.export_csr().items():
                     arrays[f"graph.{name}"] = slab
                 arrays["graph.names"] = np.frombuffer(
@@ -926,8 +846,6 @@ class InferenceEngine:
         engine._graph = None
         engine._structural_epoch = int(spec["structural_epoch"])
         engine._shared_structural = False
-        engine.node_dtype = np.dtype(spec["node_dtype"])
-        engine.stats.node_dtype = str(engine.node_dtype)
         engine.stats.structural_epoch = engine._structural_epoch
         if "structural" in meta:
             structural = meta["structural"]
@@ -942,7 +860,6 @@ class InferenceEngine:
             engine._hidden_layers = [
                 arrays[f"structural.hidden{k}"]
                 for k in range(engine._gnn.num_hops)]
-            engine._node_matrix = arrays["structural.node_matrix"]
             engine._shared_structural = True
             engine.stats.structural_nodes = engine._num_nodes
             if structural["use_position"]:
@@ -953,8 +870,6 @@ class InferenceEngine:
             else:
                 engine._position_parent = None
                 engine._position_child = None
-        else:
-            engine._node_matrix = None
 
         engine.classifier = CompiledClassifier.from_arrays(
             meta["classifier"], sub("classifier."))
@@ -967,11 +882,11 @@ class InferenceEngine:
 
         Copy-on-write: an attached engine serves directly off the shared
         segments until its first mutation (streamed attachment or full
-        recompute); this copies features, per-hop hidden states, and the
-        node matrix — with fresh growth slack and a zero fallback row —
-        so no write ever lands on a shared mapping.  The shared weight
-        arrays (BERT/classifier/GNN) are never mutated and stay shared
-        for the engine's lifetime.  Caller holds the engine lock.
+        recompute); this copies features and per-hop hidden states —
+        with fresh growth slack and a zero fallback row — so no write
+        ever lands on a shared mapping.  The shared weight arrays
+        (BERT/classifier/GNN) are never mutated and stay shared for the
+        engine's lifetime.  Caller holds the engine lock.
         """
         if not self._shared_structural:
             return
@@ -987,5 +902,4 @@ class InferenceEngine:
         self._features = private(self._features)
         self._hidden_layers = [private(hidden)
                                for hidden in self._hidden_layers]
-        self._node_matrix = private(self._node_matrix)
         self._shared_structural = False

@@ -70,22 +70,6 @@ class CandidateRetriever:
         self._rebuilds = 1
         self._record_epoch(epoch)
 
-    @classmethod
-    def from_bundle(cls, bundle, *, taxonomy=None,
-                    config: IndexConfig | None = None):
-        """Build a retriever over a served :class:`ArtifactBundle`.
-
-        Indexes every node of ``taxonomy`` (default: the bundle's own
-        taxonomy) through the bundle pipeline's embedding matrix, and
-        fences on the bundle engine's current ``structural_epoch``.
-        """
-        taxonomy = taxonomy if taxonomy is not None else bundle.taxonomy
-        engine = getattr(bundle.pipeline, "engine", None)
-        epoch = getattr(engine, "structural_epoch", None)
-        concepts = sorted(taxonomy.nodes) if taxonomy is not None else []
-        return cls(bundle.pipeline.concept_embedding_matrix, concepts,
-                   config=config, engine=engine, epoch=epoch)
-
     # ------------------------------------------------------------------
     # read side
     # ------------------------------------------------------------------
@@ -168,11 +152,11 @@ class CandidateRetriever:
             return added
 
     def _record_epoch(self, epoch: int | None) -> None:
-        if epoch is None and self._engine is not None:
-            epoch = getattr(self._engine, "structural_epoch", None)
+        engine = self._engine
+        if epoch is None and engine is not None:
+            epoch = engine.structural_epoch
         if epoch is None:
             return
         self._synced_epoch = max(self._synced_epoch, int(epoch))
-        mark = getattr(self._engine, "mark_norms_cached", None)
-        if callable(mark):
-            mark(self._synced_epoch)
+        if engine is not None:
+            engine.mark_norms_cached(self._synced_epoch)

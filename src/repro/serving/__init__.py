@@ -40,7 +40,7 @@ from .journal import (
 from .snapshot import (
     SnapshotCorruptionWarning, SnapshotInfo, SnapshotStats, SnapshotStore,
 )
-from .cluster import PoolStats, ShardedScorerPool, shared_memory_default
+from .cluster import PoolStats, ShardedScorerPool
 from .service import ServiceConfig, TaxonomyService
 from .async_http import (
     AsyncServerThread, AsyncTaxonomyServer, CAPABILITIES, serve_async,
@@ -55,7 +55,7 @@ __all__ = [
     "JournalStats",
     "SnapshotCorruptionWarning", "SnapshotInfo", "SnapshotStats",
     "SnapshotStore",
-    "PoolStats", "ShardedScorerPool", "shared_memory_default",
+    "PoolStats", "ShardedScorerPool",
     "SharedArtifactStore", "SharedArrayView", "SharedBundleView",
     "attach_manifest",
     "ServiceConfig", "TaxonomyService",

@@ -215,38 +215,23 @@ class ArtifactBundle:
         pipeline.visible_taxonomy = taxonomy
 
         # Compile the graph-free inference engine at load time so the
-        # first request never pays compilation cost; BatchingScorer,
-        # StreamingIngestor, and the HTTP API all inherit the fast path.
-        from ..infer import MODE_FAST, default_inference_mode
-        if default_inference_mode() == MODE_FAST:
-            detector.compile_inference()
+        # first request never pays compilation cost.
+        detector.compile_inference()
         return cls(pipeline=pipeline, taxonomy=taxonomy,
                    vocabulary=vocabulary, directory=directory)
 
     # ------------------------------------------------------------------
     # delegation
     # ------------------------------------------------------------------
+    @property
+    def engine(self):
+        """The bundled detector's compiled
+        :class:`~repro.infer.InferenceEngine` (compiled on first use)."""
+        return self.pipeline.compile_inference()
+
     def score_pairs(self, pairs: list[tuple[str, str]]) -> np.ndarray:
         """Positive-class probabilities from the bundled detector."""
         return self.pipeline.score_pairs(pairs)
-
-
-class _AttachedDetector:
-    """Duck-typed detector shim exposing an attached inference engine."""
-
-    __slots__ = ("inference_engine",)
-
-    def __init__(self, engine):
-        self.inference_engine = engine
-
-
-class _AttachedPipeline:
-    """Duck-typed pipeline shim over an attached inference engine."""
-
-    __slots__ = ("detector",)
-
-    def __init__(self, engine):
-        self.detector = _AttachedDetector(engine)
 
 
 class SharedBundleView:
@@ -259,9 +244,9 @@ class SharedBundleView:
     :class:`~repro.infer.InferenceEngine` whose weight arrays are read-only
     views over the shared buffers — scores are bit-identical to a
     privately loaded bundle because the views *are* the parent engine's
-    arrays.  Exposes the same ``score_pairs`` /
-    ``pipeline.detector.inference_engine`` surface the worker loop uses,
-    so the private :class:`ArtifactBundle` fallback stays a drop-in swap.
+    arrays.  Exposes the same ``score_pairs`` / ``engine`` surface the
+    worker loop uses, so the private :class:`ArtifactBundle` fallback
+    stays a drop-in swap.
     """
 
     mode = "shared"
@@ -270,7 +255,6 @@ class SharedBundleView:
         self.engine = engine
         self.view = view
         self.directory = directory
-        self.pipeline = _AttachedPipeline(engine)
 
     @classmethod
     def attach(cls, manifest: dict,

@@ -112,6 +112,21 @@ def _parse_fields(header_text: str) -> tuple[dict, set]:
     return headers, lengths
 
 
+def _split_target(target: str) -> tuple[str, str]:
+    """A request target's ``(path, query)``.
+
+    An absolute-form target (``http://host:port/v1/healthz?k=v``, RFC
+    9112 §3.2.2, scheme in any case) routes on the path after its
+    authority, ``/`` when there is none, exactly as its origin form
+    would.
+    """
+    path, _, query = target.partition("?")
+    if path[:8].lower().startswith(("http://", "https://")):
+        _, slash, rest = path.partition("://")[2].partition("/")
+        path = slash + rest or "/"
+    return path, query
+
+
 def _content_length(headers: dict, lengths: set) -> int:
     """The request body's length, or ``400 invalid_request`` if ambiguous.
 
@@ -387,7 +402,7 @@ class AsyncTaxonomyServer:
                 writer,
                 api_errors.invalid_request("malformed request line"))
             return None
-        path, _, query = path.partition("?")
+        path, query = _split_target(path)
         try:
             headers, lengths = _parse_fields(header_text)
             length = _content_length(headers, lengths)

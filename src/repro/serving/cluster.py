@@ -56,10 +56,10 @@ Design notes:
   alive at that moment out of the collector's view (CPython's
   recommendation for fork servers).  The cost: cyclic garbage among
   those objects is never reclaimed.
-* **zero-copy shared weights** — by default (``REPRO_SHM`` unset or
-  truthy, fast inference mode) the parent publishes every read-only
-  engine array into :class:`~repro.serving.shm.SharedArtifactStore`
-  segments once; workers attach the segments and build view-backed
+* **zero-copy shared weights** — by default (``share_memory=True``)
+  the parent publishes every read-only engine array into
+  :class:`~repro.serving.shm.SharedArtifactStore` segments once;
+  workers attach the segments and build view-backed
   engines (:class:`~repro.serving.artifacts.SharedBundleView`) instead
   of loading + compiling privately.  Memory stays O(1) in worker count,
   respawn skips the bundle load entirely, and hot reload becomes a
@@ -90,28 +90,15 @@ import numpy as np
 
 from .blas import limit_blas_threads, usable_cores
 
-__all__ = ["PoolStats", "ShardedScorerPool", "shared_memory_default"]
+__all__ = ["PoolStats", "ShardedScorerPool"]
 
 Pair = tuple[str, str]
 
 #: seconds a freshly spawned worker gets to load + compile its bundle
 READY_TIMEOUT = 120.0
 
-#: environment variable gating the shared-memory worker path
-SHM_ENV = "REPRO_SHM"
-
 #: bound on the retained respawn-duration samples (histogram source)
 _RESPAWN_SAMPLE_LIMIT = 512
-
-
-def shared_memory_default() -> bool:
-    """Whether ``REPRO_SHM`` enables zero-copy workers (default: on).
-
-    Any of ``0 / off / false / no`` disables sharing; unknown values
-    keep the default so serving never dies on a typo'd environment.
-    """
-    raw = os.environ.get(SHM_ENV, "").strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 @dataclass
@@ -249,31 +236,18 @@ def _worker_main(conn, bundle_dir: str, shared_manifest: dict | None,
                 outcome["directory"] = directory
                 old = bundle
                 bundle = new_bundle
-                engine = old.pipeline.detector.inference_engine
-                if engine is not None:
-                    engine.drain(timeout=5.0)
+                old.engine.drain(timeout=5.0)
                 if isinstance(old, SharedBundleView):
                     old.close()
                 conn.send(("ok", req_id, outcome))
             elif kind == "delta":
                 # Structural attachment delta: the worker's own engine
                 # merges the edges and recomputes the dirty frontier.
-                detector = bundle.pipeline.detector
-                engine = (detector.inference_engine
-                          if detector is not None else None)
-                if engine is None:
-                    conn.send(("ok", req_id,
-                               {"applied": False,
-                                "reason": "no compiled engine"}))
-                else:
-                    conn.send(("ok", req_id,
-                               engine.apply_attachments(message[2])))
+                conn.send(("ok", req_id,
+                           bundle.engine.apply_attachments(message[2])))
             elif kind == "stats":
-                detector = bundle.pipeline.detector
-                engine = detector.inference_engine
-                payload = (engine.stats_snapshot().as_dict()
-                           if engine is not None else {})
-                conn.send(("ok", req_id, payload))
+                conn.send(("ok", req_id,
+                           bundle.engine.stats_snapshot().as_dict()))
             elif kind == "ping":
                 conn.send(("ok", req_id, os.getpid()))
             elif kind == "stop":
@@ -366,9 +340,8 @@ class ShardedScorerPool:
     share_memory:
         Publish the engine's read-only arrays into shared-memory
         segments so workers attach zero-copy instead of loading the
-        bundle privately.  ``None`` (default) reads ``REPRO_SHM``
-        (enabled unless set to ``0/off/false/no``); sharing is skipped
-        automatically when the inference mode is not ``fast``.
+        bundle privately (default).  ``False`` gives every worker a
+        private copy; scores are bit-identical either way.
     bundle:
         Optional parent-loaded :class:`~repro.serving.artifacts.ArtifactBundle`
         for ``bundle_dir`` — reused for the initial segment publish so
@@ -379,7 +352,7 @@ class ShardedScorerPool:
                  mp_context: str | None = None,
                  request_timeout: float = 60.0,
                  watchdog_interval: float | None = 5.0,
-                 share_memory: bool | None = None,
+                 share_memory: bool = True,
                  bundle=None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -388,9 +361,7 @@ class ShardedScorerPool:
         self.blas_budget = max(1, usable_cores() // num_workers)
         self.request_timeout = request_timeout
         self.watchdog_interval = watchdog_interval or None
-        self._share_requested = (shared_memory_default()
-                                 if share_memory is None
-                                 else bool(share_memory))
+        self._share_requested = bool(share_memory)
         self._seed_bundle = bundle
         self._store = None
         self._manifest: dict | None = None
@@ -761,25 +732,20 @@ class ShardedScorerPool:
     def _publish_bundle(self, directory: str) -> dict | None:
         """Publish ``directory``'s engine arrays as a new shm generation.
 
-        Returns the new manifest, or ``None`` when sharing is skipped
-        (non-fast inference mode) or publishing fails — the pool then
-        runs all-private workers, bit-identical but with per-worker
-        copies.  Reuses the parent-loaded seed bundle when it matches,
-        so initial publish reads the weights from disk exactly once.
+        Returns the new manifest, or ``None`` when publishing fails —
+        the pool then runs all-private workers, bit-identical but with
+        per-worker copies.  Reuses the parent-loaded seed bundle when it
+        matches, so initial publish reads the weights from disk exactly
+        once.
         """
-        from ..infer import MODE_FAST, default_inference_mode
         from .artifacts import ArtifactBundle
         from .shm import SharedArtifactStore
         try:
-            if default_inference_mode() != MODE_FAST:
-                self._manifest = None
-                return None
             bundle = self._seed_bundle
             if bundle is None or getattr(bundle, "directory",
                                          None) != directory:
                 bundle = ArtifactBundle.load(directory)
-            engine = bundle.pipeline.detector.compile_inference()
-            meta, arrays = engine.shared_state()
+            meta, arrays = bundle.engine.shared_state()
             if self._store is None or self._store.closed:
                 self._store = SharedArtifactStore()
             self._manifest = self._store.publish(arrays, meta=meta)

@@ -21,8 +21,7 @@ gain from coalescing: it skips the queue and makes its one underlying
 call on its own thread, so concurrent large requests run side by side
 (a worker pool sees all of them at once) instead of one at a time
 behind the leader.  The backend chunks by its own limits
-(:class:`~repro.infer.InferenceEngine` by its ``max_batch``, the autograd
-path by its ``batch_size``).
+(:class:`~repro.infer.InferenceEngine` by its ``max_batch``).
 
 Every backend call runs on a thread that called :meth:`score_pairs`,
 so the scorer needs no lifecycle and stands in for the raw scorer

@@ -466,7 +466,7 @@ class TaxonomyService:
         """
         # holds: self._retriever_lock
         pool = self.pool
-        if pool is None or not hasattr(pool, "publish_shared"):
+        if pool is None:
             return
         try:
             meta, arrays = retriever.index.export_slab()
@@ -480,12 +480,10 @@ class TaxonomyService:
     def _build_retriever(self, bundle: ArtifactBundle,
                          concepts) -> CandidateRetriever:
         """Embed ``concepts`` through ``bundle`` into a fresh retriever."""
-        detector = bundle.pipeline.detector
-        engine = detector.inference_engine if detector is not None else None
-        epoch = getattr(engine, "structural_epoch", None)
+        engine = bundle.engine
         return CandidateRetriever(
             bundle.pipeline.concept_embedding_matrix, concepts,
-            engine=engine, epoch=epoch)
+            engine=engine, epoch=engine.structural_epoch)
 
     def _retrieved_candidates(self, queries: list, top_k: int) -> dict:
         """Resolve seed queries to retrieved candidate maps.
@@ -522,16 +520,13 @@ class TaxonomyService:
             return
         self._attached_edges.extend(edges)
         dirty: set[str] = set()
-        detector = self.bundle.pipeline.detector
-        engine = detector.inference_engine if detector is not None else None
-        if engine is not None:
-            try:
-                summary = engine.apply_attachments(edges)
-                dirty.update(summary.get("dirty_concepts", ()))
-            except Exception as error:
-                warnings.warn(
-                    f"structural delta failed on the in-process engine: "
-                    f"{error!r}", stacklevel=2)
+        engine = self.bundle.engine
+        try:
+            dirty.update(engine.apply_attachments(edges)["dirty_concepts"])
+        except Exception as error:
+            warnings.warn(
+                f"structural delta failed on the in-process engine: "
+                f"{error!r}", stacklevel=2)
         if self.pool is not None:
             try:
                 results = self.pool.broadcast_attachments(edges)
@@ -548,8 +543,9 @@ class TaxonomyService:
                     f"structural delta broadcast failed: {error!r}",
                     stacklevel=2)
         if not dirty:
-            # No engine reported a frontier (autograd mode, delta
-            # failure): fall back to evicting the endpoints themselves.
+            # No engine reported a frontier (a delta failure, or a model
+            # without a structural graph): fall back to evicting the
+            # endpoints themselves.
             dirty = {concept for edge in edges for concept in edge}
         self.scorer.invalidate_pairs_touching(dirty)
         retriever = self._retriever
@@ -558,11 +554,10 @@ class TaxonomyService:
             # retrievable without a rebuild.  Degrades loudly like the
             # engine delta above — the taxonomy mutation has committed.
             try:
-                epoch = (engine.structural_epoch
-                         if engine is not None else None)
                 retriever.extend(
                     sorted({concept for edge in edges
-                            for concept in edge}), epoch=epoch)
+                            for concept in edge}),
+                    epoch=engine.structural_epoch)
             except Exception as error:
                 warnings.warn(
                     f"candidate-index refresh failed: {error!r} "
@@ -690,12 +685,8 @@ class TaxonomyService:
             if compact and self.journal is not None:
                 compacted = self.journal.compact(seq)["removed"]
             pool_outcome = None
-            if (compact and self.pool is not None
-                    and hasattr(self.pool, "compact_deltas")):
-                detector = self.bundle.pipeline.detector
-                engine = (detector.inference_engine
-                          if detector is not None else None)
-                pool_outcome = self.pool.compact_deltas(engine)
+            if compact and self.pool is not None:
+                pool_outcome = self.pool.compact_deltas(self.bundle.engine)
             return {
                 "snapshot": os.path.basename(info.path),
                 "seq": seq,
@@ -805,8 +796,7 @@ class TaxonomyService:
         ``journal.next_seq - 1`` is exactly the last sequence the
         captured state includes.
         """
-        detector = self.bundle.pipeline.detector
-        engine = detector.inference_engine if detector is not None else None
+        engine = self.bundle.engine
         with self._taxonomy_lock:
             seq = (self.journal.next_seq - 1
                    if self.journal is not None else -1)
@@ -816,8 +806,7 @@ class TaxonomyService:
                 "expander": self.expander.export_state(),
                 "attached_edges": [list(edge)
                                    for edge in self._attached_edges],
-                "engine": (engine.structural_csr()
-                           if engine is not None else None),
+                "engine": engine.structural_csr(),
             }
         return seq, state
 
@@ -851,11 +840,9 @@ class TaxonomyService:
             self._attached_edges = []
             if edges:
                 self._propagate_attachments(edges)
-            detector = self.bundle.pipeline.detector
-            engine = (detector.inference_engine
-                      if detector is not None else None)
+            engine = self.bundle.engine
             recorded = state.get("engine")
-            if engine is not None and recorded:
+            if recorded:
                 engine.restore_structural_epoch(
                     int(recorded.get("epoch", 0)))
                 self._verify_restored_graph(engine, recorded)
@@ -934,10 +921,8 @@ class TaxonomyService:
         with self._taxonomy_lock:
             seeded = len(self._attached_edges)
             attachments = list(dict.fromkeys(self._attached_edges))
-        new_detector = new_bundle.pipeline.detector
-        new_engine = (new_detector.inference_engine
-                      if new_detector is not None else None)
-        if attachments and new_engine is not None:
+        new_engine = new_bundle.engine
+        if attachments:
             new_engine.apply_attachments(attachments)
         probes = self._probe_pairs(new_bundle)
         probs = np.asarray(new_bundle.score_pairs(probes))
@@ -962,9 +947,7 @@ class TaxonomyService:
             workers = len(results)
             if probes:
                 pooled = np.asarray(self.pool.score_pairs(probes))
-                engine = new_bundle.pipeline.detector.inference_engine
-                tolerance = (engine.score_tolerance
-                             if engine is not None else 1e-4)
+                tolerance = new_engine.score_tolerance
                 delta = float(np.max(np.abs(pooled - probs)))
                 if delta > tolerance:
                     self.pool.reload(previous_dir)
@@ -996,7 +979,7 @@ class TaxonomyService:
             # retriever lock taken first, matching _get_retriever's
             # order, so the swap cannot deadlock with a lazy build
             tail = self._attached_edges[seeded:]
-            if tail and new_engine is not None:
+            if tail:
                 new_engine.apply_attachments(tail)
             self.scorer.swap_scorer(backend, clear_cache=True)
             self.bundle = new_bundle
@@ -1008,13 +991,7 @@ class TaxonomyService:
                     sorted(self.expander.taxonomy.nodes))
                 self._retriever = new_retriever
                 self._index_rebuilds += 1
-        old_detector = old_bundle.pipeline.detector
-        old_engine = (old_detector.inference_engine
-                      if old_detector is not None else None)
-        drained = True
-        if old_engine is not None and old_engine is not \
-                new_bundle.pipeline.detector.inference_engine:
-            drained = old_engine.drain(timeout=30.0)
+        drained = old_bundle.engine.drain(timeout=30.0)
         if warm_pairs:
             # Cache warming: the pairs hot before the swap are exactly
             # the ones the next requests will ask for — re-score them
@@ -1112,8 +1089,7 @@ class TaxonomyService:
         ingest queue depth and totals, live-taxonomy gauges, hot-reload
         and journal activity, per-worker pool counters when a
         :class:`~repro.serving.ShardedScorerPool` backs scoring, and the
-        inference engine's dtype/batch counters when the fast path is
-        compiled.
+        inference engine's dtype/batch counters.
         """
         scorer = self.scorer.stats_snapshot()
         lines: list[str] = []
@@ -1301,15 +1277,14 @@ class TaxonomyService:
             metric("repro_pool_delta_replayed_edges_total", "counter",
                    "Attachment edges queued across backlog replays.",
                    pool.delta_replayed_edges)
-            if hasattr(self.pool, "delta_backlog_stats"):
-                backlog = self.pool.delta_backlog_stats()
-                metric("repro_pool_delta_baseline_edges", "gauge",
-                       "Folded baseline edges (skipped by respawns that "
-                       "attach the covering shm generation).",
-                       backlog["baseline_edges"])
-                metric("repro_pool_delta_tail_edges", "gauge",
-                       "Post-compaction delta-tail edges a respawned "
-                       "worker replays.", backlog["tail_edges"])
+            backlog = self.pool.delta_backlog_stats()
+            metric("repro_pool_delta_baseline_edges", "gauge",
+                   "Folded baseline edges (skipped by respawns that "
+                   "attach the covering shm generation).",
+                   backlog["baseline_edges"])
+            metric("repro_pool_delta_tail_edges", "gauge",
+                   "Post-compaction delta-tail edges a respawned "
+                   "worker replays.", backlog["tail_edges"])
             lines.append("# HELP repro_pool_worker_pairs_total Pairs "
                          "routed to one worker (shard balance).")
             lines.append("# TYPE repro_pool_worker_pairs_total counter")
@@ -1356,39 +1331,36 @@ class TaxonomyService:
             lines.append(
                 f"repro_pool_respawn_seconds_count {respawn['count']}")
 
-        detector = self.bundle.pipeline.detector
-        engine = detector.inference_engine if detector is not None else None
-        if engine is not None:
-            stats = engine.stats_snapshot()
-            label = f'{{dtype="{stats.dtype}"}}'
-            metric("repro_engine_info", "gauge",
-                   "Compiled inference engine presence (dtype label).",
-                   1, label)
-            metric("repro_engine_batches_total", "counter",
-                   "Engine scoring batches executed.", stats.batches, label)
-            metric("repro_engine_pairs_scored_total", "counter",
-                   "Pairs scored by the inference engine.",
-                   stats.pairs_scored, label)
-            metric("repro_engine_sequences_encoded_total", "counter",
-                   "Template sequences encoded by the compiled BERT.",
-                   stats.sequences_encoded, label)
-            metric("repro_engine_concept_cache_hits_total", "counter",
-                   "Single-concept embeddings served from the engine "
-                   "cache.", stats.concept_cache_hits, label)
-            metric("repro_engine_structural_epoch", "gauge",
-                   "Incremental-recompute fence (bumped per applied "
-                   "structural delta).", stats.structural_epoch, label)
-            metric("repro_engine_structural_nodes", "gauge",
-                   "Nodes in the engine's live structural graph.",
-                   stats.structural_nodes, label)
-            metric("repro_engine_recompute_batches_total", "counter",
-                   "Dirty-frontier recompute passes executed.",
-                   stats.recompute_batches, label)
-            metric("repro_engine_rows_recomputed_total", "counter",
-                   "Node-embedding rows refreshed by frontier "
-                   "recomputes (rows x hops).", stats.rows_recomputed,
-                   label)
-            metric("repro_engine_norms_epoch", "gauge",
-                   "Structural epoch a retrieval index last cached row "
-                   "norms at (-1: never).", stats.norms_epoch, label)
+        stats = self.bundle.engine.stats_snapshot()
+        label = f'{{dtype="{stats.dtype}"}}'
+        metric("repro_engine_info", "gauge",
+               "Compiled inference engine presence (dtype label).",
+               1, label)
+        metric("repro_engine_batches_total", "counter",
+               "Engine scoring batches executed.", stats.batches, label)
+        metric("repro_engine_pairs_scored_total", "counter",
+               "Pairs scored by the inference engine.",
+               stats.pairs_scored, label)
+        metric("repro_engine_sequences_encoded_total", "counter",
+               "Template sequences encoded by the compiled BERT.",
+               stats.sequences_encoded, label)
+        metric("repro_engine_concept_cache_hits_total", "counter",
+               "Single-concept embeddings served from the engine "
+               "cache.", stats.concept_cache_hits, label)
+        metric("repro_engine_structural_epoch", "gauge",
+               "Incremental-recompute fence (bumped per applied "
+               "structural delta).", stats.structural_epoch, label)
+        metric("repro_engine_structural_nodes", "gauge",
+               "Nodes in the engine's live structural graph.",
+               stats.structural_nodes, label)
+        metric("repro_engine_recompute_batches_total", "counter",
+               "Dirty-frontier recompute passes executed.",
+               stats.recompute_batches, label)
+        metric("repro_engine_rows_recomputed_total", "counter",
+               "Node-embedding rows refreshed by frontier "
+               "recomputes (rows x hops).", stats.rows_recomputed,
+               label)
+        metric("repro_engine_norms_epoch", "gauge",
+               "Structural epoch a retrieval index last cached row "
+               "norms at (-1: never).", stats.norms_epoch, label)
         return "\n".join(lines) + "\n"

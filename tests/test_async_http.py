@@ -160,6 +160,29 @@ class TestAsyncRoundTrips:
             assert response.getheader("Connection") == "keep-alive"
         connection.close()
 
+    def test_absolute_form_target_routes_like_origin_form(self,
+                                                          async_served,
+                                                          small_world):
+        # RFC 9112 3.2.2: a server must accept "GET http://host/path"
+        url, _service, _server = async_served
+        status, _h, origin = _request(url, "GET", "/v1/healthz")
+        del origin["uptime_seconds"]
+        for scheme_url in (url, url.replace("http://", "HTTP://")):
+            status, _h, absolute = _request(url, "GET",
+                                            f"{scheme_url}/v1/healthz")
+            assert status == 200, absolute
+            del absolute["uptime_seconds"]
+            assert absolute == origin
+        pairs = [list(edge) for edge in
+                 sorted(small_world.existing_taxonomy.edges())[:3]]
+        status, _h, origin = _request(url, "POST", "/v1/score",
+                                      {"pairs": pairs})
+        assert status == 200
+        status, _h, absolute = _request(url, "POST", f"{url}/v1/score",
+                                        {"pairs": pairs})
+        assert status == 200, absolute
+        assert absolute == origin
+
 
 class TestTransportPathologies:
     @pytest.fixture()

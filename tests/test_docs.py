@@ -16,9 +16,13 @@ Three contracts:
 
 The first two are thin wrappers over ``repro lint --rules RL007,RL008``
 so the pytest suite and the CI ``static-analysis`` job can never
-disagree about what "documented" means.
+disagree about what "documented" means.  A fourth guard keeps the
+package free of environment knobs: behaviour is configured through
+CLI flags and constructor arguments that the docs list, never through
+variables a process inherits unseen.
 """
 
+import ast
 import os
 import re
 
@@ -62,6 +66,27 @@ def test_markdown_link_rule_sees_the_whole_docs_site():
     for page in ("README.md", "docs/architecture.md", "docs/http_api.md",
                  "docs/operations.md", "docs/devtools.md"):
         assert page in scanned, f"RL008 does not scan {page}"
+
+
+def test_package_reads_no_environment_variables():
+    """Nothing under src/repro reads ``os.environ`` or ``os.getenv``."""
+    names = {"environ", "environb", "getenv"}
+    found = []
+    for directory, _dirs, files in os.walk(
+            os.path.join(REPO_ROOT, "src", "repro")):
+        for path in sorted(os.path.join(directory, name) for name in files
+                           if name.endswith(".py")):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            found += [
+                f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}"
+                for node in ast.walk(tree)
+                if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os")
+                or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and names & {alias.name for alias in node.names})]
+    assert not found, f"environment reads in the package: {found}"
 
 
 def test_docs_pages_exist_and_are_linked_from_readme():

@@ -12,9 +12,7 @@ pin the contract from every layer:
 * serving level — after ``/expand`` or streamed ingest the very next
   score uses the updated structural features with no reload, in both
   single-process and sharded (2-worker) mode, including across worker
-  respawns and hot reloads;
-* storage level — the float16 node-matrix mode stays within its relaxed
-  tolerance of the float32 engine.
+  respawns and hot reloads.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import pytest
 
 from repro.core.detector import DetectorConfig, HyponymyDetector
 from repro.gnn import StructuralConfig, StructuralEncoder
-from repro.infer import InferenceEngine, default_node_dtype
+from repro.infer import InferenceEngine
 from repro.serving import (
     ArtifactBundle, BatchingScorer, ServiceConfig, ShardedScorerPool,
     TaxonomyService,
@@ -180,41 +178,6 @@ class TestEnginePropagation:
         assert delta < 1e-4
 
 
-class TestFloat16Storage:
-    def test_explicit_node_dtype(self):
-        _encoder, detector = _structural_detector("gcn", 1)
-        float32 = InferenceEngine(detector)
-        float16 = InferenceEngine(detector, node_dtype=np.float16)
-        assert float16._node_matrix.dtype == np.float16
-        assert float16.stats.node_dtype == "float16"
-        pairs = [("c0", "c5"), ("c3", "c9"), ("c1", "unknown")]
-        # Storage quantisation only: relaxed parity vs float32 engine.
-        np.testing.assert_allclose(float16.score_pairs(pairs),
-                                   float32.score_pairs(pairs), atol=2e-2)
-        np.testing.assert_allclose(float16.node_embedding_matrix(),
-                                   float32.node_embedding_matrix(),
-                                   atol=2e-3)
-
-    def test_env_selects_float16(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INFER_DTYPE", "float16")
-        assert default_node_dtype() == np.float16
-        _encoder, detector = _structural_detector("gcn", 1)
-        engine = InferenceEngine(detector)
-        assert engine._node_matrix.dtype == np.float16
-
-    def test_env_typo_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INFER_DTYPE", "bfloat17")
-        assert default_node_dtype() == np.float32
-
-    def test_incremental_recompute_in_float16(self):
-        encoder, detector = _structural_detector("gcn", 2)
-        engine = InferenceEngine(detector, node_dtype=np.float16)
-        engine.apply_attachments([("c0", "new"), ("c2", "c9")])
-        delta = np.abs(_oracle_matrix(engine, encoder)
-                       - engine.node_embedding_matrix()).max()
-        assert delta < 2e-3  # relaxed: float16 storage quantisation
-
-
 class TestScorerInvalidation:
     def test_invalidate_pairs_touching(self):
         calls: list[list] = []
@@ -263,7 +226,7 @@ def _structural_slice(engine, pairs):
 def _service_oracle_features(service, pairs):
     """Pair representations from a freshly built autograd encoder over
     the serving engine's live arrays (the acceptance oracle)."""
-    engine = service.bundle.pipeline.detector.inference_engine
+    engine = service.bundle.engine
     arrays = engine.structural_arrays()
     structural = service.bundle.pipeline.structural
     oracle = StructuralEncoder.from_arrays(
@@ -277,7 +240,7 @@ class TestServiceSingleProcess:
     def test_expand_updates_engine_without_reload(self, eager_bundle_dir):
         bundle = ArtifactBundle.load(eager_bundle_dir)
         with TaxonomyService(bundle) as service:
-            engine = bundle.pipeline.detector.inference_engine
+            engine = bundle.engine
             parent = sorted(bundle.taxonomy.roots())[0]
             fresh = "galactic snack cluster"
             assert fresh not in engine._graph
@@ -300,7 +263,7 @@ class TestServiceSingleProcess:
                                                     eager_bundle_dir):
         bundle = ArtifactBundle.load(eager_bundle_dir)
         with TaxonomyService(bundle) as service:
-            engine = bundle.pipeline.detector.inference_engine
+            engine = bundle.engine
             parent = sorted(bundle.taxonomy.roots())[0]
             fresh = "stale cache probe"
             # Prime the score cache with the zero-fallback score.
@@ -319,7 +282,7 @@ class TestServiceSingleProcess:
     def test_sync_ingest_applies_delta_before_ack(self, eager_bundle_dir):
         bundle = ArtifactBundle.load(eager_bundle_dir)
         with TaxonomyService(bundle) as service:
-            engine = bundle.pipeline.detector.inference_engine
+            engine = bundle.engine
             epoch = engine.structural_epoch
             parent = sorted(bundle.taxonomy.roots())[0]
             candidates = sorted(
@@ -344,8 +307,8 @@ class TestServiceSingleProcess:
             fresh = "reload survivor"
             service.expand({parent: [fresh]})
             service.reload(eager_bundle_dir)
-            engine = service.bundle.pipeline.detector.inference_engine
-            assert engine is not bundle.pipeline.detector.inference_engine
+            engine = service.bundle.engine
+            assert engine is not bundle.engine
             assert fresh in engine._graph
             pairs = [(parent, fresh)]
             got = _structural_slice(engine, pairs)

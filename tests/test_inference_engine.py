@@ -17,10 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.infer import (
-    MODE_AUTOGRAD, MODE_FAST, InferenceEngine, default_inference_mode,
-    resolve_inference_mode,
-)
+from repro.infer import InferenceEngine
 from repro.nn import (
     LayerNorm, MultiHeadSelfAttention, SCORE_TOLERANCE, Tensor, no_grad,
 )
@@ -444,49 +441,7 @@ class TestEngineEndToEnd:
 
 
 class TestModeSelection:
-    def test_default_mode_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INFERENCE", raising=False)
-        assert default_inference_mode() == MODE_FAST
-
-    def test_env_selects_autograd(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INFERENCE", "autograd")
-        assert default_inference_mode() == MODE_AUTOGRAD
-
-    def test_env_aliases_and_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INFERENCE", "FLOAT64")
-        assert default_inference_mode() == MODE_AUTOGRAD
-        monkeypatch.setenv("REPRO_INFERENCE", "warp-drive")
-        assert default_inference_mode() == MODE_FAST
-
-    def test_resolve_rejects_unknown_explicit_mode(self):
-        with pytest.raises(ValueError):
-            resolve_inference_mode("warp-drive")
-
-    def test_detector_override_beats_env(self, tiny_fitted_pipeline,
-                                         monkeypatch):
-        monkeypatch.setenv("REPRO_INFERENCE", "fast")
-        detector = tiny_fitted_pipeline.detector
-        detector.inference_mode = "autograd"
-        try:
-            pairs = [("fruit", "apple")]
-            probs = detector.predict_proba(pairs)
-            reference = detector._predict_autograd(pairs)
-            np.testing.assert_array_equal(probs, reference)
-        finally:
-            detector.inference_mode = None
-
-    def test_pipeline_set_inference_mode_validates(self,
-                                                   tiny_fitted_pipeline):
-        with pytest.raises(ValueError):
-            tiny_fitted_pipeline.set_inference_mode("warp-drive")
-        tiny_fitted_pipeline.set_inference_mode("autograd")
-        assert tiny_fitted_pipeline.detector.inference_mode == "autograd"
-        tiny_fitted_pipeline.set_inference_mode(None)
-        assert tiny_fitted_pipeline.detector.inference_mode is None
-
-    def test_predict_proba_dispatches_to_engine(self, tiny_fitted_pipeline,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_INFERENCE", "fast")
+    def test_predict_proba_dispatches_to_engine(self, tiny_fitted_pipeline):
         detector = tiny_fitted_pipeline.detector
         probs = detector.predict_proba([("fruit", "apple")])
         assert detector.inference_engine is not None

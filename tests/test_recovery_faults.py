@@ -72,9 +72,7 @@ def taxonomy_fingerprint(service):
 
 
 def engine_epoch(service):
-    detector = service.bundle.pipeline.detector
-    engine = detector.inference_engine if detector is not None else None
-    return engine.structural_epoch if engine is not None else None
+    return service.bundle.engine.structural_epoch
 
 
 class TestMidWriteCrash:

@@ -23,7 +23,6 @@ from repro.retrieval import CandidateIndex
 from repro.serving import (
     ArtifactBundle, ShardedScorerPool, SharedArtifactStore,
     SharedBundleView, TaxonomyService, attach_manifest,
-    shared_memory_default,
 )
 from repro.serving.cluster import _load_worker_bundle
 
@@ -174,7 +173,10 @@ class TestEngineAttach:
         engine = tiny_fitted_pipeline.detector.compile_inference()
         store, view, attached = self._attach_round_trip(engine)
         try:
-            shared_matrix = view.array("structural.node_matrix").copy()
+            structural = {name: array.copy()
+                          for name, array in view.arrays.items()
+                          if name.startswith("structural.")}
+            assert "structural.features" in structural
             nodes = sorted(small_world.existing_taxonomy.nodes)
             edges = [(nodes[0], "cow new concept"),
                      (nodes[1], nodes[-1])]
@@ -185,23 +187,9 @@ class TestEngineAttach:
             assert first["new_nodes"] == second["new_nodes"]
             assert np.array_equal(attached.score_pairs(scoring_pairs),
                                   oracle.score_pairs(scoring_pairs))
-            # growth went into private buffers, never the shared segment
-            np.testing.assert_array_equal(
-                view.array("structural.node_matrix"), shared_matrix)
-        finally:
-            view.close()
-            store.unlink()
-
-    def test_float16_node_matrix_round_trips(self, tiny_fitted_pipeline,
-                                             scoring_pairs):
-        engine = InferenceEngine(tiny_fitted_pipeline.detector,
-                                 node_dtype="float16")
-        store, view, attached = self._attach_round_trip(engine)
-        try:
-            assert view.array("structural.node_matrix").dtype == np.float16
-            assert attached.stats_snapshot().node_dtype == "float16"
-            assert np.array_equal(attached.score_pairs(scoring_pairs),
-                                  engine.score_pairs(scoring_pairs))
+            # growth went into private buffers, never a shared segment
+            for name, snapshot in structural.items():
+                np.testing.assert_array_equal(view.array(name), snapshot)
         finally:
             view.close()
             store.unlink()
@@ -370,13 +358,6 @@ class TestSharedPool:
             assert np.array_equal(pool.score_pairs(scoring_pairs),
                                   bundle.score_pairs(scoring_pairs))
 
-    def test_env_default_parsing(self, monkeypatch):
-        for raw, expected in (("", True), ("1", True), ("typo", True),
-                              ("0", False), ("off", False),
-                              ("FALSE", False), ("no", False)):
-            monkeypatch.setenv("REPRO_SHM", raw)
-            assert shared_memory_default() is expected
-
     def test_metrics_expose_shm_state(self, bundle_dir, scoring_pairs):
         bundle = ArtifactBundle.load(bundle_dir)
         with ShardedScorerPool(bundle_dir, num_workers=2,
@@ -489,7 +470,7 @@ class TestRespawnAfterCompaction:
     def test_killed_worker_replays_only_post_snapshot_tail(
             self, bundle_dir, scoring_pairs, mp_context):
         bundle = ArtifactBundle.load(bundle_dir)
-        engine = bundle.pipeline.detector.inference_engine
+        engine = bundle.engine
         parent = scoring_pairs[0][0]
         pre = [[(parent, "pre snapshot node a"),
                 (parent, "pre snapshot node b")],
